@@ -5,11 +5,13 @@ picks random ones (to get something to trade quickly); after that it requests
 the rarest fragment among those the uploader can provide, breaking ties
 randomly.  Availability is tracked swarm-wide as a fragment-indexed counter.
 
-NOTE: the broadcast hot loop in ``repro.bittorrent.swarm`` inlines this
-selection rule (tie-tier form) for speed; any change to the policy here —
-thresholds, tie-breaking, random-stream consumption — must be mirrored
-there, and the seed-replay goldens in ``tests/test_seed_replay.py`` will
-flag a divergence on the covered scenarios.
+NOTE: the broadcast loop converts bytes to fragments through the kernels
+of ``repro.bittorrent.conversion`` (a compiled one and a Python fallback),
+which implement this selection rule in tie-tier form for speed.  Any change
+to the policy here — thresholds, tie-breaking, random-stream consumption —
+must be mirrored in both; ``tests/test_conversion.py`` checks them against
+:meth:`PieceSelector.select_from` and the seed-replay goldens in
+``tests/test_seed_replay.py`` flag a divergence on the covered scenarios.
 """
 
 from __future__ import annotations

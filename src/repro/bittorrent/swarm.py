@@ -55,6 +55,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.bittorrent import conversion
 from repro.bittorrent.choking import DEFAULT_UPLOAD_SLOTS, ChokingPolicy
 from repro.bittorrent.instrumentation import FragmentMatrix
 from repro.bittorrent.peer import PeerState
@@ -535,10 +536,16 @@ class BitTorrentBroadcast:
 
         fluid = session.fluid
         fragments = FragmentMatrix(self.hosts)
-        availability = selector.availability
-        random_first_threshold = selector.random_first_threshold
-        wanted_buf = np.empty(num_fragments, dtype=bool)
-        alive_buf = np.empty(num_fragments, dtype=bool)
+        # Per-host held counts, the conversion kernel's view of each peer's
+        # ``_fragment_count`` (synced back after every conversion pass).
+        peer_list = [peers[name] for name in self.hosts]
+        held = np.array([peer._fragment_count for peer in peer_list], dtype=np.int64)
+        kernel = conversion.KERNEL
+        convert = kernel.bind(
+            rng, have, lack, selector.availability, held,
+            None if interest_by_matmul else wanted,
+            fragment_size, selector.random_first_threshold,
+        )
 
         # Active fluid pipes keyed by (uploader, downloader); ``pipe_order``
         # mirrors the keys in sorted order (maintained by bisect on
@@ -1006,127 +1013,59 @@ class BitTorrentBroadcast:
                 pipes_dirty = True
                 step_active = True
 
-            ready_list: List[int] = []
             if pipe_order:
                 moved = moved_at(time)
                 deltas = moved - pipe_consumed
                 progress_now = pipe_progress + deltas
-                # Only pipes that accumulated a whole fragment need Python
-                # work; their anchored bases are settled below, everything
-                # else stays a pure function of its last conversion event.
+                # Only pipes that accumulated a whole fragment convert; their
+                # anchored bases are settled below, everything else stays a
+                # pure function of its last conversion event.
                 ready = np.flatnonzero(
                     (deltas > 0) & (progress_now >= fragment_size)
                 )
                 if ready.size:
                     step_active = True
-                    # Unbox the per-event scalars in bulk; the loop below then
-                    # runs on plain Python ints/floats.
-                    ready_list = ready.tolist()
-                    ready_up = pipe_up[ready].tolist()
-                    ready_down = pipe_down[ready].tolist()
-                    ready_progress = progress_now[ready].tolist()
-                    ready_moved = moved[ready].tolist()
-
-            if trace_full and ready_list:
-                conversion_started = TRACER.now()
-                pass_receipts = 0
-            for event, position in enumerate(ready_list):
-                uploader, downloader = pipe_order[position]
-                uploader_index = ready_up[event]
-                downloader_index = ready_down[event]
-                down = peers[downloader]
-                surplus = ready_progress[event]
-                downloader_have = have[downloader_index]
-                downloader_lack = lack[downloader_index]
-                held = down._fragment_count
-                received: List[int] = []
-                # Inlined rarest-first selection (PieceSelector.select_from
-                # semantics, identical random-stream consumption).  Within one
-                # pipe's conversion loop only the downloader's bitfield
-                # changes, and only at just-received fragments — so the
-                # candidate set is computed once, consumed via an alive mask,
-                # and the rarest tie group drains through cheap list pops; the
-                # next tier is recomputed exactly when the scalar code's min
-                # would move on.
-                np.logical_and(have[uploader_index], downloader_lack, out=wanted_buf)
-                candidates = wanted_buf.nonzero()[0]
-                if candidates.size == 0:
-                    # Nothing useful left on this pipe; drop the surplus.
-                    pipe_consumed[position] = ready_moved[event]
-                    pipe_progress[position] = 0.0
-                    continue
-                alive = alive_buf[: candidates.size]
-                alive.fill(True)
-                counts_vals: Optional[np.ndarray] = None
-                tie_positions: Optional[List[int]] = None
-                while surplus >= fragment_size:
-                    if held < random_first_threshold:
-                        live = candidates[alive]
-                        if live.size == 0:
-                            surplus = 0.0
-                            break
-                        fragment = int(live[int(rng.integers(0, live.size))])
-                        alive[int(np.searchsorted(candidates, fragment))] = False
-                        tie_positions = None
-                    else:
-                        if not tie_positions:
-                            if counts_vals is None:
-                                counts_vals = availability[candidates]
-                            live_counts = counts_vals[alive]
-                            if live_counts.size == 0:
-                                surplus = 0.0
-                                break
-                            rarest = live_counts.min()
-                            tie_positions = (
-                                ((counts_vals == rarest) & alive).nonzero()[0].tolist()
-                            )
-                        r = int(rng.integers(0, len(tie_positions)))
-                        pos = tie_positions.pop(r)
-                        fragment = int(candidates[pos])
-                        alive[pos] = False
-                    surplus -= fragment_size
-                    received.append(fragment)
-                    downloader_lack[fragment] = False
-                    downloader_have[fragment] = True
-                    availability[fragment] += 1
-                    held += 1
-                    if held == num_fragments:
-                        down._fragment_count = held
-                        down.completion_time = time
-                        incomplete.discard(downloader)
-                        incomplete_mask[downloader_index] = False
-                        break
-                down._fragment_count = held
-                pipe_consumed[position] = ready_moved[event]
-                pipe_progress[position] = surplus
-                if received:
                     if trace_full:
-                        pass_receipts += len(received)
+                        conversion_started = TRACER.now()
+                    ready_up = pipe_up[ready]
+                    ready_down = pipe_down[ready]
+                    surplus = progress_now[ready]
+                    received, offsets = convert(ready_up, ready_down, surplus)
+                    pipe_consumed[ready] = moved[ready]
+                    pipe_progress[ready] = surplus
+                    # Each (uploader, downloader) pipe converts at most once
+                    # per step, so the index pairs are distinct.
+                    fragments.counts[ready_down, ready_up] += np.diff(offsets)
+                    for downloader_index in np.unique(ready_down).tolist():
+                        down = peer_list[downloader_index]
+                        count = int(held[downloader_index])
+                        down._fragment_count = count
+                        if count == num_fragments and incomplete_mask[downloader_index]:
+                            down.completion_time = time
+                            incomplete.discard(down.name)
+                            incomplete_mask[downloader_index] = False
                     if trace is not None:
-                        for fragment in received:
-                            trace.append((time, downloader, uploader, fragment))
-                    fragments.counts[downloader_index, uploader_index] += len(received)
-                    if not interest_by_matmul:
-                        # Batched interest update: within this loop only the
-                        # downloader's row/column changed, so the per-receipt
-                        # column sums collapse into one fancy-indexed sum (the
-                        # diagonal is forced back to zero afterwards; the row
-                        # update uses lack = ~have elementwise).
-                        shared = have[:, received].sum(axis=1)
-                        wanted[:, downloader_index] -= shared
-                        wanted[downloader_index, :] += len(received) - shared
-                        wanted[downloader_index, downloader_index] = 0
-
-            if trace_full and ready_list:
-                # Per-receipt conversion cost: wall seconds of the pass over
-                # the number of fragments it converted (sim-time stamped).
-                TRACER.event(
-                    "swarm.conversion",
-                    sim_time=time,
-                    pipes=len(ready_list),
-                    receipts=pass_receipts,
-                    wall_s=TRACER.now() - conversion_started,
-                )
+                        hosts = self.hosts
+                        bounds = offsets.tolist()
+                        fragment_list = received.tolist()
+                        for event, (uploader_index, downloader_index) in enumerate(
+                            zip(ready_up.tolist(), ready_down.tolist())
+                        ):
+                            uploader = hosts[uploader_index]
+                            downloader = hosts[downloader_index]
+                            for fragment in fragment_list[bounds[event]:bounds[event + 1]]:
+                                trace.append((time, downloader, uploader, fragment))
+                    if trace_full:
+                        # Per-receipt conversion cost: wall seconds of the
+                        # pass over the number of fragments it converted
+                        # (sim-time stamped).
+                        TRACER.event(
+                            "swarm.conversion",
+                            sim_time=time,
+                            pipes=int(ready.size),
+                            receipts=int(offsets[-1]),
+                            wall_s=TRACER.now() - conversion_started,
+                        )
 
             # --- next control point ---------------------------------------- #
             if not event_mode or step_active:
@@ -1182,6 +1121,7 @@ class BitTorrentBroadcast:
         METRICS.count("swarm.broadcasts")
         METRICS.count("swarm.control_steps", control_steps)
         METRICS.count(f"swarm.broadcasts.{cfg.stepping}")
+        METRICS.count(f"swarm.broadcasts.kernel.{kernel.name}")
         METRICS.count("swarm.receipts", receipts)
         if TRACER.enabled:
             TRACER.span_record(

@@ -33,7 +33,7 @@ Two properties carry the whole design:
 
 from __future__ import annotations
 
-import math
+import re
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -217,6 +217,8 @@ METRIC_CATALOGUE: Dict[str, Tuple[str, str]] = {
     "swarm.control_steps": ("counter", "control points the swarm loops executed"),
     "swarm.broadcasts.fixed": ("counter", "broadcasts run with fixed stepping"),
     "swarm.broadcasts.event": ("counter", "broadcasts run with event stepping"),
+    "swarm.broadcasts.kernel.c": ("counter", "broadcasts converted by the compiled kernel"),
+    "swarm.broadcasts.kernel.python": ("counter", "broadcasts converted by the Python fallback kernel"),
     "swarm.receipts": ("counter", "fragments received across all broadcasts"),
     "batched.runs": ("counter", "batched lock-step runs"),
     "batched.lanes": ("counter", "lanes finished inside batched runs"),
@@ -255,12 +257,18 @@ METRIC_CATALOGUE: Dict[str, Tuple[str, str]] = {
 }
 
 
-def _validate_catalogue() -> None:  # pragma: no cover - import-time guard
-    for name, (kind, _) in METRIC_CATALOGUE.items():
+#: ``subsystem.metric``: dotted lowercase segments (digits, ``_`` and ``-``
+#: allowed after the first letter, as in ``faults.link-failure``).
+METRIC_NAME = re.compile(r"[a-z][a-z0-9_-]*(\.[a-z][a-z0-9_-]*)+")
+
+
+def validate_catalogue(catalogue: Dict[str, Tuple[str, str]]) -> None:
+    """Raise ``ValueError`` on a malformed metric name or an unknown kind."""
+    for name, (kind, _) in catalogue.items():
         if kind not in ("counter", "gauge", "histogram"):
-            raise AssertionError(f"bad metric kind for {name}: {kind}")
-        if not math.isfinite(len(name)):
-            raise AssertionError
+            raise ValueError(f"bad metric kind for {name}: {kind}")
+        if not METRIC_NAME.fullmatch(name):
+            raise ValueError(f"bad metric name {name!r}: expected subsystem.metric")
 
 
-_validate_catalogue()
+validate_catalogue(METRIC_CATALOGUE)

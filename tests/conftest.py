@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bittorrent import conversion
 from repro.bittorrent.swarm import SwarmConfig
 from repro.graph.wgraph import WeightedGraph
 from repro.network.grid5000 import Grid5000Builder, build_multi_site, default_cluster_of
@@ -92,6 +93,44 @@ def tiny_swarm_config() -> SwarmConfig:
 @pytest.fixture
 def small_swarm_config() -> SwarmConfig:
     return default_swarm_config(300)
+
+
+# --------------------------------------------------------------------- #
+# conversion kernels
+# --------------------------------------------------------------------- #
+#: The kernel the package loaded at import: the compiled one unless its
+#: build or load failed on this platform.
+LOADED_KERNEL = conversion.KERNEL
+
+
+def over_kernels(argname, values):
+    """Parametrize ``argname`` over ``values`` on both conversion kernels.
+
+    The compiled kernel keeps the bare ids (``test_x[event]``); the Python
+    fallback runs as ``test_x[event-python]``.  Pairs with :func:`kernel`.
+    """
+    return pytest.mark.parametrize(
+        (argname, "kernel"),
+        [
+            pytest.param(value, name, id=value if name == "c" else f"{value}-{name}")
+            for name in ("c", "python")
+            for value in values
+        ],
+        indirect=["kernel"],
+    )
+
+
+@pytest.fixture
+def kernel(request, monkeypatch) -> str:
+    """Route every broadcast of the test through the named kernel."""
+    name = request.param
+    if name == "python":
+        monkeypatch.setattr(conversion, "KERNEL", conversion.PYTHON_KERNEL)
+    elif LOADED_KERNEL.name != "c":
+        pytest.skip("compiled conversion kernel unavailable on this platform")
+    else:
+        monkeypatch.setattr(conversion, "KERNEL", LOADED_KERNEL)
+    return name
 
 
 # --------------------------------------------------------------------- #

@@ -28,6 +28,7 @@ from repro.observability.metrics import (
     METRICS,
     MetricsRegistry,
     MetricsSnapshot,
+    validate_catalogue,
 )
 from repro.observability.tracer import (
     TRACE_DETAIL_ENV,
@@ -145,6 +146,18 @@ class TestMetricsSnapshot:
             assert "." in name, name
             assert kind in ("counter", "gauge", "histogram")
             assert description
+
+    @pytest.mark.parametrize(
+        "name", ["swarm", "Swarm.broadcasts", "swarm..receipts", "swarm.", "swarm.2x", "swarm.bytes/s"]
+    )
+    def test_catalogue_validation_rejects_malformed_names(self, name):
+        validate_catalogue({"faults.link-failure": ("counter", "hyphens are fine")})
+        with pytest.raises(ValueError, match="bad metric name"):
+            validate_catalogue({name: ("counter", "malformed")})
+
+    def test_catalogue_validation_rejects_unknown_kinds(self):
+        with pytest.raises(ValueError, match="bad metric kind"):
+            validate_catalogue({"swarm.receipts": ("tally", "unknown kind")})
 
 
 # ---------------------------------------------------------------------- #

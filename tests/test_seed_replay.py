@@ -21,13 +21,20 @@ broadcast (TCP-window rate caps), a single-site broadcast across the
 Bordeaux bottleneck, and a long broadcast with frequent rechokes so the
 tit-for-tat choker, optimistic rotation and idle-slot filling all consume
 the random stream.
+
+Every golden test runs on both fragment-conversion kernels
+(:mod:`repro.bittorrent.conversion`): ``[event]`` is the compiled kernel,
+``[event-python]`` the Python fallback.  The goldens are shared — the
+replay contract spans kernels.
 """
 
 import hashlib
 
 import numpy as np
 import pytest
+from conftest import LOADED_KERNEL, over_kernels
 
+from repro.bittorrent import conversion
 from repro.bittorrent.swarm import STEPPING_MODES, BitTorrentBroadcast, SwarmConfig
 from repro.network.grid5000 import (
     build_bordeaux_site,
@@ -79,8 +86,8 @@ def broadcast_fingerprint(topology, num_fragments, seed, **config_kwargs):
     return digest.hexdigest(), result
 
 
-@pytest.mark.parametrize("stepping", STEPPING_MODES)
-def test_multi_site_broadcast_replays_scalar_implementation(stepping):
+@over_kernels("stepping", STEPPING_MODES)
+def test_multi_site_broadcast_replays_scalar_implementation(stepping, kernel):
     topology = build_multi_site(
         {site: {default_cluster_of(site): 4} for site in ("bordeaux", "grenoble")}
     )
@@ -94,8 +101,8 @@ def test_multi_site_broadcast_replays_scalar_implementation(stepping):
     assert result.duration == pytest.approx(0.2)
 
 
-@pytest.mark.parametrize("stepping", STEPPING_MODES)
-def test_bordeaux_bottleneck_broadcast_replays_scalar_implementation(stepping):
+@over_kernels("stepping", STEPPING_MODES)
+def test_bordeaux_bottleneck_broadcast_replays_scalar_implementation(stepping, kernel):
     topology = build_bordeaux_site(bordeplage=5, bordereau=4, borderline=2)
     fingerprint, result = broadcast_fingerprint(
         topology, 120, seed=2012, stepping=stepping
@@ -105,8 +112,8 @@ def test_bordeaux_bottleneck_broadcast_replays_scalar_implementation(stepping):
     assert result.distinct_edges == 13
 
 
-@pytest.mark.parametrize("stepping", STEPPING_MODES)
-def test_rechoke_heavy_broadcast_replays_scalar_implementation(stepping):
+@over_kernels("stepping", STEPPING_MODES)
+def test_rechoke_heavy_broadcast_replays_scalar_implementation(stepping, kernel):
     """Short rechoke interval: tit-for-tat and optimistic slots churn hard."""
     topology = build_bordeaux_site(bordeplage=5, bordereau=4, borderline=2)
     fingerprint, result = broadcast_fingerprint(
@@ -141,8 +148,8 @@ def batched_lane_fingerprints(topology, num_fragments, seeds, **config_kwargs):
     return fingerprints, results
 
 
-@pytest.mark.parametrize("stepping", STEPPING_MODES)
-def test_batched_lanes_replay_every_scalar_golden(stepping):
+@over_kernels("stepping", STEPPING_MODES)
+def test_batched_lanes_replay_every_scalar_golden(stepping, kernel):
     """Extracting any single lane of a batched run reproduces the pinned
     scalar fingerprints bit for bit: the batched engine is a pure execution
     strategy, not a new measurement semantics.  The golden seed runs as lane
@@ -189,15 +196,18 @@ def test_same_seed_is_deterministic_across_runs():
 
 def test_interest_bookkeeping_modes_agree(monkeypatch):
     """The per-step matmul and the incremental interest updates are the same
-    computation; forcing the incremental path must not change the result."""
+    computation; forcing the incremental path (which each conversion kernel
+    maintains itself) must not change the result on either kernel."""
     import repro.bittorrent.swarm as swarm_module
 
     topology = build_bordeaux_site(bordeplage=3, bordereau=3, borderline=2)
     baseline, _ = broadcast_fingerprint(topology, 60, seed=11)
 
     monkeypatch.setattr(swarm_module, "MATMUL_INTEREST_LIMIT", 0)
-    incremental, _ = broadcast_fingerprint(topology, 60, seed=11)
-    assert incremental == baseline
+    for kernel in (LOADED_KERNEL, conversion.PYTHON_KERNEL):
+        monkeypatch.setattr(conversion, "KERNEL", kernel)
+        incremental, _ = broadcast_fingerprint(topology, 60, seed=11)
+        assert incremental == baseline, kernel.name
 
 
 # ---------------------------------------------------------------------- #
@@ -225,8 +235,8 @@ def workload_broadcast_fingerprint(topology, num_fragments, seed, **config_kwarg
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("stepping", STEPPING_MODES)
-def test_one_actor_workload_replays_the_single_broadcast_goldens(stepping):
+@over_kernels("stepping", STEPPING_MODES)
+def test_one_actor_workload_replays_the_single_broadcast_goldens(stepping, kernel):
     """The standalone loop is now the degenerate one-actor workload: driving
     a broadcast through the shared workload engine (its simulator agenda and
     shared fluid network) must reproduce the pinned scalar-era fingerprints
@@ -301,9 +311,9 @@ def campaign_fingerprint(stepping, workload=None, faults=None):
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("stepping", STEPPING_MODES)
+@over_kernels("stepping", STEPPING_MODES)
 @pytest.mark.parametrize("family", sorted(INTERFERENCE_GOLDENS))
-def test_interference_campaigns_replay_their_goldens(family, stepping):
+def test_interference_campaigns_replay_their_goldens(family, stepping, kernel):
     """Multi-tenant campaigns replay bit-for-bit from their seed, in both
     stepping modes: the per-actor RNG streams are derived statelessly from
     (seed, "workload", iteration, label) and the shared-clock interleaving
@@ -344,9 +354,9 @@ def fault_plan(family):
     }[family]()
 
 
-@pytest.mark.parametrize("stepping", STEPPING_MODES)
+@over_kernels("stepping", STEPPING_MODES)
 @pytest.mark.parametrize("family", sorted(FAULT_GOLDENS))
-def test_fault_campaigns_replay_their_goldens(family, stepping):
+def test_fault_campaigns_replay_their_goldens(family, stepping, kernel):
     """Campaigns under injected failure replay bit-for-bit from their seed,
     in both stepping modes."""
     fingerprint = campaign_fingerprint(stepping, faults=fault_plan(family))
@@ -373,8 +383,8 @@ def full_tracing(tmp_path):
     TRACER.close()
 
 
-@pytest.mark.parametrize("stepping", STEPPING_MODES)
-def test_tracing_preserves_the_classic_goldens(full_tracing, stepping):
+@over_kernels("stepping", STEPPING_MODES)
+def test_tracing_preserves_the_classic_goldens(full_tracing, stepping, kernel):
     """Telemetry only *reads* state: with full tracing on, the scalar and
     batched broadcasts reproduce their pinned fingerprints bit for bit."""
     topology = build_multi_site(
@@ -396,8 +406,8 @@ def test_tracing_preserves_the_classic_goldens(full_tracing, stepping):
     assert len(lines) > 1
 
 
-@pytest.mark.parametrize("stepping", STEPPING_MODES)
-def test_tracing_preserves_the_workload_and_fault_goldens(full_tracing, stepping):
+@over_kernels("stepping", STEPPING_MODES)
+def test_tracing_preserves_the_workload_and_fault_goldens(full_tracing, stepping, kernel):
     """Full tracing across the workload engine, fault actors, executors and
     pipeline leaves every campaign family's fingerprint untouched."""
     topology = build_multi_site(
@@ -432,8 +442,8 @@ def test_tracing_preserves_the_workload_and_fault_goldens(full_tracing, stepping
     assert all("sim_ts" in r for r in fault_events)
 
 
-@pytest.mark.parametrize("stepping", STEPPING_MODES)
-def test_empty_fault_plan_replays_the_faultless_goldens(stepping):
+@over_kernels("stepping", STEPPING_MODES)
+def test_empty_fault_plan_replays_the_faultless_goldens(stepping, kernel):
     """The acceptance gate of the fault subsystem: an *empty* FaultPlan is a
     bitwise no-op — the campaign fingerprint equals the plain campaign's,
     and the workload path still reproduces the scalar-era broadcast

@@ -15,13 +15,16 @@ The scenarios cover the distinct control regimes: the slot-saturated 2x2
 WAN campaign (churny control plane, TCP rate caps), and the oversubscribed
 fat-tree from the beyond-paper families.  A fine-``control_dt`` case pins
 the high-fidelity regime where the event mode's jumps are largest and its
-grid arithmetic is most exposed to float-edge mistakes.
+grid arithmetic is most exposed to float-edge mistakes.  The scenario
+tests run on both fragment-conversion kernels (``[2x2]`` compiled,
+``[2x2-python]`` the fallback).
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
+from conftest import over_kernels
 
 from repro.bittorrent.swarm import BitTorrentBroadcast
 from repro.scenarios import get_scenario
@@ -47,8 +50,8 @@ def _run_broadcast(ds, config, seed):
     return result, trace
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_fragment_completion_sequences_identical(name):
+@over_kernels("name", sorted(SCENARIOS))
+def test_fragment_completion_sequences_identical(name, kernel):
     """Both modes produce the identical receipt-event sequence."""
     ds = _dataset(name)
     results = {}
@@ -66,8 +69,8 @@ def test_fragment_completion_sequences_identical(name):
     )
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_per_peer_download_totals_identical(name):
+@over_kernels("name", sorted(SCENARIOS))
+def test_per_peer_download_totals_identical(name, kernel):
     """Per-peer totals (row sums of the directed matrix) match exactly."""
     ds = _dataset(name)
     totals = {}
@@ -81,8 +84,8 @@ def test_per_peer_download_totals_identical(name):
     assert totals["event"] == totals["fixed"]
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_pipeline_bottleneck_matrices_identical(name):
+@over_kernels("name", sorted(SCENARIOS))
+def test_pipeline_bottleneck_matrices_identical(name, kernel):
     """The full measure→aggregate pipeline yields identical metric matrices
     and identical recovered partitions under both stepping modes."""
     ds = _dataset(name)
@@ -106,8 +109,8 @@ def test_pipeline_bottleneck_matrices_identical(name):
     assert event.modularity == fixed.modularity
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_event_mode_executes_no_more_control_steps(name):
+@over_kernels("name", sorted(SCENARIOS))
+def test_event_mode_executes_no_more_control_steps(name, kernel):
     ds = _dataset(name)
     steps = {}
     for stepping in ("fixed", "event"):
