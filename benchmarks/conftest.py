@@ -119,13 +119,6 @@ def bench_once(benchmark):
             benchmark.extra_info["control_steps_per_broadcast"] = round(
                 steps / broadcasts, 1
             )
-            # Average lanes per batched lock-step run (1 for scalar rows),
-            # so the BENCH record distinguishes batched from serial rows.
-            lanes = delta.counter("batched.lanes")
-            batched_runs = delta.counter("batched.runs")
-            benchmark.extra_info["batch_width"] = (
-                round(lanes / batched_runs, 1) if batched_runs else 1
-            )
         # Full registry delta, for BENCH rows and post-hoc attribution.
         benchmark.extra_info["metrics"] = delta.jsonable()
         return outcome

@@ -147,7 +147,6 @@ def normalize(raw_json: Path, executor: str, profile: str, stepping: str) -> dic
             "broadcasts",
             "control_steps",
             "control_steps_per_broadcast",
-            "batch_width",
             "workload",
             "workload_actors",
             "interference_intensity",
@@ -184,8 +183,6 @@ def run_scenarios(
         delta = METRICS.snapshot().delta_since(before)
         broadcasts = int(delta.counter("swarm.broadcasts"))
         steps = int(delta.counter("swarm.control_steps"))
-        lanes = delta.counter("batched.lanes")
-        batched_runs = delta.counter("batched.runs")
         print(f"  scenario:{name:<30s} {elapsed:8.3f}s  "
               f"({executor_name}, {stepping})")
         row = {
@@ -200,10 +197,6 @@ def run_scenarios(
             "control_steps": steps,
             "control_steps_per_broadcast": (
                 round(steps / broadcasts, 1) if broadcasts else 0.0
-            ),
-            # Average lanes per batched lock-step run; 1 for scalar rows.
-            "batch_width": (
-                round(lanes / batched_runs, 1) if batched_runs else 1
             ),
             # Full registry delta for the scenario run (back-compat keys
             # above are derived from the same counters).
@@ -273,7 +266,7 @@ def main() -> int:
                         metavar="NAME",
                         help="time this registered scenario instead of the "
                              "pytest suite (repeatable; see `python -m repro list`)")
-    parser.add_argument("--executor", choices=("serial", "process", "batched"),
+    parser.add_argument("--executor", choices=("serial", "process"),
                         default="serial",
                         help="campaign-executor backend recorded per row")
     parser.add_argument("--workers", type=int, default=None,

@@ -4,15 +4,15 @@ Times :meth:`repro.network.solver.FlowSet.solve` on synthetic multi-site
 contention patterns at 10² – 10⁴ concurrent flows (the fluid engine calls
 this on every pipe open/close and every control step, so its throughput
 bounds the whole broadcast simulation), and cross-checks the smallest scale
-against the scalar reference oracle.
+against the scalar reference oracle in ``tests/maxmin_oracle.py``.
 """
 
 import numpy as np
 import pytest
 
 from benchmarks.conftest import report
-from repro.network.flows import FlowDemand, max_min_fair_allocation_scalar
 from repro.network.solver import FlowSet
+from tests.maxmin_oracle import FlowDemand, max_min_fair_allocation_scalar
 
 #: Number of shared core links every flow competes on (star-of-sites shape).
 CORE_LINKS = 32

@@ -157,10 +157,6 @@ class BroadcastResult:
         figure of merit: fixed stepping executes every grid point).
     stepping:
         Stepping policy that produced this result (``"fixed"``/``"event"``).
-    batch_width:
-        Number of lanes in the batched lock-step run that produced this
-        result (1 for the scalar path).  Purely diagnostic: lane records are
-        bit-identical to their scalar replays regardless of width.
     """
 
     fragments: FragmentMatrix
@@ -170,7 +166,6 @@ class BroadcastResult:
     distinct_edges: int
     control_steps: int = 0
     stepping: str = "event"
-    batch_width: int = 1
 
     @property
     def hosts(self) -> List[str]:
@@ -238,13 +233,6 @@ class BroadcastSession:
       the environment changed (cross traffic, churn, capacity drift) —
       landing early is always exact, since the fixed-dt oracle visits every
       grid point.
-    * ``("interest", step, time, have)`` — only when the session was built
-      with ``batch_interest=True`` and the matmul interest path is active:
-      the loop asks the driver for this step's wanted matrix instead of
-      computing it, and must be resumed with an ``(n, n)`` float32 array
-      bitwise equal to what ``recompute_wanted()`` would have produced.
-      :class:`repro.bittorrent.batched.BatchedBroadcast` answers a whole
-      batch of lanes with one stacked matmul.
 
     :meth:`run_to_completion` is the degenerate driver: one session, a fresh
     private fluid network, start time zero — byte-identical to the classic
@@ -266,15 +254,8 @@ class BroadcastSession:
         trace: Optional[List[Tuple[float, str, str, int]]] = None,
         fluid: Optional[FluidNetwork] = None,
         start_time: float = 0.0,
-        batch_interest: bool = False,
     ) -> None:
         self.broadcast = broadcast
-        #: When True the loop *yields* ``("interest", step, time, have)``
-        #: instead of computing the matmul-path interest matrix itself, so a
-        #: batched driver (:class:`repro.bittorrent.batched.BatchedBroadcast`)
-        #: can answer many lanes with one stacked matmul.  Scalar drivers
-        #: (run_to_completion, the workload engine) never set this.
-        self._batch_interest = batch_interest
         self.fluid = (
             fluid
             if fluid is not None
@@ -321,11 +302,6 @@ class BroadcastSession:
     # ------------------------------------------------------------------ #
     # driving
     # ------------------------------------------------------------------ #
-    @property
-    def request(self) -> Optional[Tuple]:
-        """The pending clock request, or ``None`` before start / after finish."""
-        return self._request
-
     def start(self) -> Optional[Tuple]:
         """Prime the loop (runs the first control phase) and return its request.
 
@@ -340,8 +316,8 @@ class BroadcastSession:
     def resume(self, value=None) -> Optional[Tuple]:
         """Fulfil the pending request and run the loop to its next one.
 
-        ``value`` is the granted step for ``"sleep"`` requests, the wanted
-        matrix for ``"interest"`` requests, and ``None`` for ``"advance"``.
+        ``value`` is the granted step for ``"sleep"`` requests and ``None``
+        for ``"advance"``.
         """
         return self._resume(value)
 
@@ -519,10 +495,6 @@ class BitTorrentBroadcast:
         # receipt batch, which is O(hosts) per received fragment.
         lack = ~have
         interest_by_matmul = n * n * num_fragments <= MATMUL_INTEREST_LIMIT
-        # Batched lanes on the incremental-interest path need no driver help
-        # (the int64 updates are exact per lane), so the flag only matters
-        # when the matmul path is active.
-        batch_interest = session._batch_interest and interest_by_matmul
         wanted = np.zeros((n, n), dtype=np.int64)
         wanted[root_index, :] = num_fragments
         wanted[root_index, root_index] = 0
@@ -924,16 +896,7 @@ class BitTorrentBroadcast:
                 pipes_dirty = True
                 step_active = True
             if interest_by_matmul:
-                if batch_interest:
-                    # Park at the interest point: the batched lock-step
-                    # driver gathers every lane due at this step and answers
-                    # each with one slice of a stacked (lanes, n, n) matmul.
-                    # All values are exact integers < 2**24, so any summation
-                    # order yields bit-identical float32 results and the
-                    # slice equals recompute_wanted() exactly.
-                    wanted = yield ("interest", step, time, have)
-                else:
-                    wanted = recompute_wanted()
+                wanted = recompute_wanted()
 
             # --- choking -------------------------------------------------- #
             if time >= next_rechoke - 1e-12:

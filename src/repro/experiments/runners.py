@@ -79,6 +79,7 @@ def run_dataset_clustering(
         from repro.workloads import workload_from_name
 
         workload = workload_from_name(workload)
+    executor = _resolve_executor(executor)
     config = default_swarm_config(num_fragments, stepping=stepping)
     pipeline = TomographyPipeline(
         ds.topology,
@@ -87,7 +88,7 @@ def run_dataset_clustering(
         config=config,
         seed=seed,
         rotate_root=rotate_root,
-        executor=_resolve_executor(executor),
+        executor=executor,
         workload=workload,
         faults=faults,
     )

@@ -1,8 +1,12 @@
 """Vectorized max-min fair allocation over an indexed link set.
 
-This is the batch counterpart of the scalar progressive-filling allocator in
-:mod:`repro.network.flows`.  Links are identified by dense integer indices
-(see :meth:`repro.network.routing.RoutingTable.link_index`) and the set of
+Max-min fair sharing divides each link's capacity among the flows crossing
+it by *progressive filling*: all unfrozen flows grow their rate together
+until some link saturates or a flow reaches its rate cap, those flows
+freeze, and the process repeats.
+
+Links are identified by dense integer indices (see
+:meth:`repro.network.routing.RoutingTable.link_index`) and the set of
 concurrent flows is held in a :class:`FlowSet`: a link×flow incidence
 structure stored as flat CSR-style index arrays that is maintained
 *incrementally* as flows come and go, so a reallocation never rebuilds the
@@ -12,14 +16,14 @@ Each progressive-filling round is a handful of NumPy array operations —
 ``bincount`` for the per-link crossing-flow counts, vector minima for the
 common increment, boolean masks for freezing — so the cost per round is
 O(entries) in C rather than O(flows × links) in Python.  The arithmetic
-mirrors the scalar reference exactly (same increments, same freeze
-tolerances), which is what the equivalence property tests in
-``tests/test_solver.py`` assert.
+mirrors the scalar reference oracle in ``tests/maxmin_oracle.py`` exactly
+(same increments, same freeze tolerances), which is what the equivalence
+property tests in ``tests/test_solver.py`` assert.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -260,22 +264,3 @@ class FlowSet:
             f"entries={self._entry_count})"
         )
 
-
-def solve_indexed(
-    routes: Sequence[Sequence[int]],
-    link_capacities: Sequence[float],
-    rate_caps: Optional[Sequence[Optional[float]]] = None,
-) -> np.ndarray:
-    """One-shot vectorized allocation for pre-indexed routes.
-
-    Convenience wrapper used by the functional dispatch path and the
-    benchmarks: builds a transient :class:`FlowSet`, adds every route, and
-    returns the rate vector aligned with ``routes``.
-    """
-    flow_set = FlowSet(link_capacities)
-    slots = np.empty(len(routes), dtype=np.int64)
-    for i, route in enumerate(routes):
-        cap = None if rate_caps is None else rate_caps[i]
-        slots[i] = flow_set.add(route, cap)
-    rates = flow_set.solve()
-    return rates[slots]

@@ -220,8 +220,6 @@ METRIC_CATALOGUE: Dict[str, Tuple[str, str]] = {
     "swarm.broadcasts.kernel.c": ("counter", "broadcasts converted by the compiled kernel"),
     "swarm.broadcasts.kernel.python": ("counter", "broadcasts converted by the Python fallback kernel"),
     "swarm.receipts": ("counter", "fragments received across all broadcasts"),
-    "batched.runs": ("counter", "batched lock-step runs"),
-    "batched.lanes": ("counter", "lanes finished inside batched runs"),
     "executor.tasks": ("counter", "campaign task chunks executed"),
     "executor.retries": ("counter", "retry rounds the process pool needed"),
     "executor.timeouts": ("counter", "tasks declared hung past their deadline"),

@@ -13,7 +13,6 @@ scenario.
 """
 
 from repro.scenarios.executors import (
-    BatchedExecutor,
     BroadcastTask,
     CampaignExecutionError,
     CampaignExecutor,
@@ -45,7 +44,6 @@ from repro.scenarios.spec import ScenarioSpec, jsonable_summary, to_jsonable
 # an eager import here would close an import cycle.
 
 __all__ = [
-    "BatchedExecutor",
     "BroadcastTask",
     "CampaignExecutionError",
     "CampaignExecutor",

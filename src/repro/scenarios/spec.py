@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.datasets import Dataset
-from repro.scenarios.executors import CampaignExecutor
+from repro.scenarios.executors import CampaignExecutor, default_executor
 
 #: Campaign parameters every scenario understands; ``ScenarioSpec.run``
 #: resolves them from spec defaults and per-run overrides.
@@ -151,8 +151,12 @@ class ScenarioSpec:
         deterministic failures, and ``quorum`` lets the campaign proceed
         with ≥k surviving iterations.  The summary always carries
         ``scenario``, ``family``, ``executor`` and ``stepping`` keys so
-        downstream records know what produced them.
+        downstream records know what produced them.  Without an explicit
+        ``executor`` the environment's default (``REPRO_EXECUTOR``) is
+        resolved here, once, so the summary names the backend that ran.
         """
+        if executor is None:
+            executor = default_executor()
         iterations = self.iterations if iterations is None else iterations
         num_fragments = self.num_fragments if num_fragments is None else num_fragments
         seed = self.seed if seed is None else seed
@@ -230,9 +234,9 @@ class ScenarioSpec:
 
         summary["scenario"] = self.name
         summary["family"] = self.family
-        # Runners that cannot fan out (workload campaigns are serial-only)
-        # pre-stamp their actual backend; everything else records the one it
-        # was handed.
+        # Runners whose campaign cannot fan out (quorum campaigns run the
+        # resilient in-process loop) pre-stamp their actual backend;
+        # everything else records the one it was handed.
         summary.setdefault(
             "executor", executor.name if executor is not None else "serial"
         )

@@ -299,7 +299,12 @@ def run_fault_study(
         "nmi_per_iteration": result.nmi_per_iteration,
         "stepping": config.stepping,
         "control_steps": record.total_control_steps(),
-        "executor": getattr(executor, "name", None) or "serial",
+        # Quorum campaigns run the resilient in-process loop, never the
+        # executor: record what actually ran.
+        "executor": (
+            executor.name if executor is not None and quorum is None
+            else "serial"
+        ),
         "noise_threshold": noise_threshold,
         "recovered": result.nmi is not None and result.nmi >= noise_threshold,
         "result": result,

@@ -1,23 +1,26 @@
-"""Max-min fair bandwidth allocation among concurrent flows.
+"""Test-only max-min fairness oracle over named flows and links.
 
-This is the bandwidth-sharing model used by flow-level simulators such as
-SimGrid (which the baseline tomography papers themselves use): each flow
-traverses a fixed set of links; link capacity is divided among the flows
-crossing it by *progressive filling* — all unfrozen flows grow their rate
-together until some link saturates, the flows crossing that link are frozen
-at the fair share, and the process repeats.
+Max-min fair sharing is the bandwidth model of flow-level simulators such
+as SimGrid: each flow traverses a fixed set of links, and link capacity is
+divided among the flows crossing it by *progressive filling* — all unfrozen
+flows grow their rate together until some link saturates, the flows
+crossing that link are frozen at the fair share, and the process repeats.
 
-The allocation is what makes the BitTorrent fragment metric informative: many
-flows squeezed through a 1 GbE bottleneck each get a small rate, so few
-fragments cross it, while intra-cluster flows keep a large rate.
+:func:`max_min_fair_allocation_scalar` is a plain-Python reference for that
+definition.  The simulator itself solves on the vectorized
+:class:`~repro.network.solver.FlowSet`; :func:`flow_set_allocation` adapts
+named flows to it, so the tests can run every case against both and check
+feasibility with :func:`validate_allocation`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.network.solver import FlowSet
 
 FlowId = Hashable
 
@@ -29,7 +32,7 @@ class FlowDemand:
     Attributes
     ----------
     flow_id:
-        Arbitrary hashable identifier (the fluid engine uses transfer ids).
+        Arbitrary hashable identifier.
     links:
         Names of the links the flow traverses (order irrelevant).
     rate_cap:
@@ -46,54 +49,16 @@ class FlowDemand:
             raise ValueError(f"rate_cap must be positive, got {self.rate_cap}")
 
 
-#: Above this many flows the vectorized solver is dispatched; below it the
-#: scalar reference implementation wins on constant factors.
-VECTORIZE_THRESHOLD = 8
-
-
-def max_min_fair_allocation(
+def flow_set_allocation(
     flows: Sequence[FlowDemand],
     link_capacity: Mapping[str, float],
 ) -> Dict[FlowId, float]:
-    """Compute the max-min fair rate of every flow.
+    """The production solver on named flows: index the referenced links,
+    solve on a :class:`~repro.network.solver.FlowSet`.
 
-    Dispatches to the vectorized solver in :mod:`repro.network.solver` when
-    the flow count exceeds :data:`VECTORIZE_THRESHOLD`; small instances run
-    the scalar reference implementation directly.  Both paths produce the
-    same allocation (see ``tests/test_solver.py``).
-
-    Parameters
-    ----------
-    flows:
-        Flow demands.  Flows with an empty link list (loopback transfers) are
-        only limited by their ``rate_cap`` (infinite if none).
-    link_capacity:
-        Capacity in bytes/second for every link name referenced by the flows.
-
-    Returns
-    -------
-    dict
-        ``flow_id -> rate`` in bytes/second.
-
-    Raises
-    ------
-    KeyError
-        If a flow references a link absent from ``link_capacity``.
-    ValueError
-        If a referenced link has non-positive capacity.
+    Raises the same errors as :func:`max_min_fair_allocation_scalar`, so
+    every case can run against both.
     """
-    if len(flows) > VECTORIZE_THRESHOLD:
-        return _max_min_fair_allocation_vectorized(flows, link_capacity)
-    return max_min_fair_allocation_scalar(flows, link_capacity)
-
-
-def _max_min_fair_allocation_vectorized(
-    flows: Sequence[FlowDemand],
-    link_capacity: Mapping[str, float],
-) -> Dict[FlowId, float]:
-    """Vectorized path: index the referenced links, solve on a FlowSet."""
-    from repro.network.solver import FlowSet
-
     link_index: Dict[str, int] = {}
     capacities: List[float] = []
     routes: List[List[int]] = []
@@ -134,9 +99,10 @@ def max_min_fair_allocation_scalar(
 ) -> Dict[FlowId, float]:
     """Scalar progressive-filling reference implementation.
 
-    Kept as the oracle the vectorized solver is property-tested against; the
-    public entry point :func:`max_min_fair_allocation` chooses between the
-    two automatically.
+    Flows with an empty link list (loopback transfers) are only limited by
+    their ``rate_cap`` (infinite if none).  Returns ``flow_id -> rate``;
+    raises ``KeyError`` for a link absent from ``link_capacity`` and
+    ``ValueError`` for a non-positive capacity or a duplicate flow id.
     """
     rates: Dict[FlowId, float] = {}
     unfrozen: Dict[FlowId, FlowDemand] = {}
@@ -256,10 +222,7 @@ def validate_allocation(
     link_capacity: Mapping[str, float],
     tol: float = 1e-6,
 ) -> None:
-    """Assert that an allocation is feasible (no link over capacity, caps respected).
-
-    Used by the property-based tests on the allocator.
-    """
+    """Assert that an allocation is feasible (no link over capacity, caps respected)."""
     for flow in flows:
         rate = rates[flow.flow_id]
         if flow.rate_cap is not None and rate > flow.rate_cap * (1 + tol) + tol:

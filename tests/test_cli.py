@@ -34,6 +34,8 @@ class TestParser:
     def test_unknown_executor_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "G-T", "--executor", "gpu"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "G-T", "--executor", "batched"])
 
 
 class TestValueParsing:
@@ -146,6 +148,28 @@ class TestCommands:
         assert payload["executor"] == "serial"
         assert payload["found_clusters"] == 2
         assert "result" not in payload  # heavy objects are stripped
+
+    @pytest.mark.parametrize(
+        "extra, executor, tasks",
+        [([], "process", 2), (["--quorum", "2"], "serial", None)],
+    )
+    def test_run_json_records_the_env_executor(
+        self, monkeypatch, tmp_path, extra, executor, tasks
+    ):
+        # The env default is resolved once, so the record names the backend
+        # that actually ran, not the CLI's unset --executor; a quorum
+        # campaign runs the in-process loop whatever the default.
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
+        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "2")
+        path = tmp_path / "out.json"
+        code = main(
+            ["run", "G-T", "--per-site", "2", "--iterations", "2",
+             "--fragments", "60", "--json", str(path), *extra]
+        )
+        assert code == 0
+        payload = json.loads(path.read_text())
+        assert payload["executor"] == executor
+        assert payload["metrics"]["counters"].get("executor.tasks") == tasks
 
     def test_list_json_output(self, tmp_path, capsys):
         path = tmp_path / "list.json"

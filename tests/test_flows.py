@@ -1,28 +1,39 @@
-"""Unit and property tests for max-min fair bandwidth allocation."""
+"""Unit and property tests for max-min fair bandwidth allocation.
 
-import numpy as np
+Every hand-computed case runs against both the scalar oracle and the
+production :class:`~repro.network.solver.FlowSet` (through its named-flow
+adapter), so the expected numbers pin both implementations.
+"""
+
 import pytest
 from hypothesis import given, settings, strategies as st
-
-from repro.network.flows import (
+from maxmin_oracle import (
     FlowDemand,
+    flow_set_allocation,
     link_utilisation,
-    max_min_fair_allocation,
+    max_min_fair_allocation_scalar,
     validate_allocation,
 )
+
+ALLOCATORS = (max_min_fair_allocation_scalar, flow_set_allocation)
+
+
+def allocations(flows, capacities):
+    """The allocation of ``flows`` by each implementation in turn."""
+    return [allocate(flows, capacities) for allocate in ALLOCATORS]
 
 
 class TestBasicAllocation:
     def test_single_flow_gets_bottleneck_capacity(self):
         flows = [FlowDemand("f", ("l1", "l2"))]
-        rates = max_min_fair_allocation(flows, {"l1": 100.0, "l2": 40.0})
-        assert rates["f"] == pytest.approx(40.0)
+        for rates in allocations(flows, {"l1": 100.0, "l2": 40.0}):
+            assert rates["f"] == pytest.approx(40.0)
 
     def test_two_flows_share_a_link_equally(self):
         flows = [FlowDemand("a", ("shared",)), FlowDemand("b", ("shared",))]
-        rates = max_min_fair_allocation(flows, {"shared": 100.0})
-        assert rates["a"] == pytest.approx(50.0)
-        assert rates["b"] == pytest.approx(50.0)
+        for rates in allocations(flows, {"shared": 100.0}):
+            assert rates["a"] == pytest.approx(50.0)
+            assert rates["b"] == pytest.approx(50.0)
 
     def test_unequal_paths_give_max_min_solution(self):
         # Classic example: flow A uses links 1+2, flow B only link 1, flow C only link 2.
@@ -31,51 +42,54 @@ class TestBasicAllocation:
             FlowDemand("b", ("l1",)),
             FlowDemand("c", ("l2",)),
         ]
-        rates = max_min_fair_allocation(flows, {"l1": 10.0, "l2": 10.0})
-        assert rates["a"] == pytest.approx(5.0)
-        assert rates["b"] == pytest.approx(5.0)
-        assert rates["c"] == pytest.approx(5.0)
+        for rates in allocations(flows, {"l1": 10.0, "l2": 10.0}):
+            assert rates["a"] == pytest.approx(5.0)
+            assert rates["b"] == pytest.approx(5.0)
+            assert rates["c"] == pytest.approx(5.0)
 
     def test_freed_capacity_goes_to_unconstrained_flows(self):
         flows = [
             FlowDemand("a", ("narrow", "wide")),
             FlowDemand("b", ("wide",)),
         ]
-        rates = max_min_fair_allocation(flows, {"narrow": 2.0, "wide": 10.0})
-        assert rates["a"] == pytest.approx(2.0)
-        assert rates["b"] == pytest.approx(8.0)
+        for rates in allocations(flows, {"narrow": 2.0, "wide": 10.0}):
+            assert rates["a"] == pytest.approx(2.0)
+            assert rates["b"] == pytest.approx(8.0)
 
     def test_rate_cap_is_respected(self):
         flows = [FlowDemand("a", ("l",), rate_cap=3.0), FlowDemand("b", ("l",))]
-        rates = max_min_fair_allocation(flows, {"l": 10.0})
-        assert rates["a"] == pytest.approx(3.0)
-        assert rates["b"] == pytest.approx(7.0)
+        for rates in allocations(flows, {"l": 10.0}):
+            assert rates["a"] == pytest.approx(3.0)
+            assert rates["b"] == pytest.approx(7.0)
 
     def test_flow_without_links_or_cap_is_unbounded(self):
         flows = [FlowDemand("loop", ())]
-        rates = max_min_fair_allocation(flows, {})
-        assert rates["loop"] == float("inf")
+        for rates in allocations(flows, {}):
+            assert rates["loop"] == float("inf")
 
     def test_flow_without_links_with_cap(self):
         flows = [FlowDemand("loop", (), rate_cap=5.0)]
-        rates = max_min_fair_allocation(flows, {})
-        assert rates["loop"] == pytest.approx(5.0)
+        for rates in allocations(flows, {}):
+            assert rates["loop"] == pytest.approx(5.0)
 
     def test_empty_flow_list(self):
-        assert max_min_fair_allocation([], {"l": 1.0}) == {}
+        assert allocations([], {"l": 1.0}) == [{}, {}]
 
     def test_unknown_link_raises(self):
-        with pytest.raises(KeyError):
-            max_min_fair_allocation([FlowDemand("a", ("ghost",))], {"l": 1.0})
+        for allocate in ALLOCATORS:
+            with pytest.raises(KeyError):
+                allocate([FlowDemand("a", ("ghost",))], {"l": 1.0})
 
     def test_non_positive_capacity_raises(self):
-        with pytest.raises(ValueError):
-            max_min_fair_allocation([FlowDemand("a", ("l",))], {"l": 0.0})
+        for allocate in ALLOCATORS:
+            with pytest.raises(ValueError):
+                allocate([FlowDemand("a", ("l",))], {"l": 0.0})
 
     def test_duplicate_flow_ids_raise(self):
         flows = [FlowDemand("a", ("l",)), FlowDemand("a", ("l",))]
-        with pytest.raises(ValueError):
-            max_min_fair_allocation(flows, {"l": 1.0})
+        for allocate in ALLOCATORS:
+            with pytest.raises(ValueError):
+                allocate(flows, {"l": 1.0})
 
     def test_invalid_rate_cap_rejected(self):
         with pytest.raises(ValueError):
@@ -86,15 +100,15 @@ class TestBasicAllocation:
         flows = [FlowDemand(f"f{i}", ("access" + str(i), "bottleneck")) for i in range(n)]
         capacities = {"bottleneck": 125e6}
         capacities.update({f"access{i}": 111e6 for i in range(n)})
-        rates = max_min_fair_allocation(flows, capacities)
-        for rate in rates.values():
-            assert rate == pytest.approx(125e6 / n, rel=1e-6)
+        for rates in allocations(flows, capacities):
+            for rate in rates.values():
+                assert rate == pytest.approx(125e6 / n, rel=1e-6)
 
     def test_link_utilisation(self):
         flows = [FlowDemand("a", ("l",)), FlowDemand("b", ("l",))]
-        rates = max_min_fair_allocation(flows, {"l": 10.0})
-        util = link_utilisation(flows, rates, {"l": 10.0})
-        assert util["l"] == pytest.approx(1.0)
+        for rates in allocations(flows, {"l": 10.0}):
+            util = link_utilisation(flows, rates, {"l": 10.0})
+            assert util["l"] == pytest.approx(1.0)
 
 
 # --------------------------------------------------------------------- #
@@ -121,18 +135,18 @@ def random_scenario(draw):
 @settings(max_examples=80, deadline=None)
 def test_allocation_is_always_feasible(scenario):
     flows, capacities = scenario
-    rates = max_min_fair_allocation(flows, capacities)
-    validate_allocation(flows, rates, capacities)
+    for rates in allocations(flows, capacities):
+        validate_allocation(flows, rates, capacities)
 
 
 @given(random_scenario())
 @settings(max_examples=80, deadline=None)
 def test_allocation_rates_are_positive(scenario):
     flows, capacities = scenario
-    rates = max_min_fair_allocation(flows, capacities)
-    assert set(rates) == {f.flow_id for f in flows}
-    for rate in rates.values():
-        assert rate > 0
+    for rates in allocations(flows, capacities):
+        assert set(rates) == {f.flow_id for f in flows}
+        for rate in rates.values():
+            assert rate > 0
 
 
 @given(random_scenario())
@@ -140,13 +154,13 @@ def test_allocation_rates_are_positive(scenario):
 def test_every_flow_hits_a_binding_constraint(scenario):
     """Max-min property: each flow is limited by a saturated link or its cap."""
     flows, capacities = scenario
-    rates = max_min_fair_allocation(flows, capacities)
-    utilisation = link_utilisation(flows, rates, capacities)
-    for flow in flows:
-        rate = rates[flow.flow_id]
-        capped = flow.rate_cap is not None and rate >= flow.rate_cap - 1e-6
-        on_saturated_link = any(
-            utilisation[link] >= 1.0 - 1e-6 for link in set(flow.links)
-        )
-        unbounded = not flow.links and flow.rate_cap is None
-        assert capped or on_saturated_link or unbounded
+    for rates in allocations(flows, capacities):
+        utilisation = link_utilisation(flows, rates, capacities)
+        for flow in flows:
+            rate = rates[flow.flow_id]
+            capped = flow.rate_cap is not None and rate >= flow.rate_cap - 1e-6
+            on_saturated_link = any(
+                utilisation[link] >= 1.0 - 1e-6 for link in set(flow.links)
+            )
+            unbounded = not flow.links and flow.rate_cap is None
+            assert capped or on_saturated_link or unbounded

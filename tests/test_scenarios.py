@@ -13,6 +13,7 @@ from repro.cli import main
 from repro.scenarios import (
     ScenarioSpec,
     all_scenarios,
+    default_executor,
     families,
     get_scenario,
     register,
@@ -147,7 +148,10 @@ def test_scenario_smoke_via_cli(name, tmp_path, capsys):
     assert out.out.strip()
     payload = json.loads(path.read_text())
     assert payload["scenario"] == name
-    assert payload["executor"] == "serial"
+    # Without --executor the environment's default backend (REPRO_EXECUTOR)
+    # runs the campaign, and the record names it.
+    default = default_executor()
+    assert payload["executor"] == (default.name if default else "serial")
 
 
 class TestGeneratedFamilies:

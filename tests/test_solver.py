@@ -1,22 +1,22 @@
 """Equivalence and unit tests for the vectorized max-min solver.
 
-The scalar progressive-filling implementation in ``repro.network.flows`` is
-the reference oracle; the vectorized :class:`~repro.network.solver.FlowSet`
+The scalar progressive-filling implementation in ``tests/maxmin_oracle.py``
+is the reference oracle; the vectorized :class:`~repro.network.solver.FlowSet`
 must reproduce it on randomized instances — shared bottlenecks, rate caps,
 loopback flows, every mix — and stay feasible under ``validate_allocation``.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-
-from repro.network.flows import (
+from hypothesis import example, given, settings, strategies as st
+from maxmin_oracle import (
     FlowDemand,
-    max_min_fair_allocation,
+    flow_set_allocation,
     max_min_fair_allocation_scalar,
     validate_allocation,
 )
-from repro.network.solver import FlowSet, solve_indexed
+
+from repro.network.solver import FlowSet
 
 RELATIVE_TOL = 1e-6
 
@@ -24,7 +24,7 @@ RELATIVE_TOL = 1e-6
 def assert_allocations_match(flows, capacities):
     """Vectorized and scalar allocations agree and are feasible."""
     scalar = max_min_fair_allocation_scalar(flows, capacities)
-    vectorized = max_min_fair_allocation(flows, capacities)
+    vectorized = flow_set_allocation(flows, capacities)
     assert set(scalar) == set(vectorized)
     for flow_id, reference in scalar.items():
         value = vectorized[flow_id]
@@ -123,22 +123,11 @@ class TestFlowSet:
         for slot in slots:
             assert rates[slot] == pytest.approx(10.0)
 
-    def test_solve_indexed_wrapper(self):
-        rates = solve_indexed([[0], [0]], [10.0], [None, 3.0])
-        assert rates[0] == pytest.approx(7.0)
-        assert rates[1] == pytest.approx(3.0)
-
 
 # --------------------------------------------------------------------- #
 # equivalence with the scalar oracle
 # --------------------------------------------------------------------- #
 class TestScalarEquivalence:
-    def test_dispatch_uses_vectorized_beyond_threshold(self):
-        # 9 flows on a shared link: the dispatching entry point must agree
-        # with the scalar oracle no matter which path served it.
-        flows = [FlowDemand(f"f{i}", ("l",)) for i in range(9)]
-        assert_allocations_match(flows, {"l": 90.0})
-
     def test_shared_bottleneck_with_caps_and_loopbacks(self):
         flows = [
             FlowDemand("a", ("access0", "core")),
@@ -170,7 +159,6 @@ def random_scenario(draw):
     capacities = {
         name: draw(st.floats(min_value=1.0, max_value=1000.0)) for name in link_names
     }
-    # Enough flows to exercise the vectorized dispatch path most of the time.
     num_flows = draw(st.integers(min_value=1, max_value=40))
     flows = []
     for i in range(num_flows):
@@ -184,7 +172,28 @@ def random_scenario(draw):
     return flows, capacities
 
 
+def star_of_sites_scenario(num_flows, core_links=32, seed=2012):
+    """Per-flow access links feeding shared cores, with quantized TCP-window
+    rate caps: the contention shape ``benchmarks/test_bench_solver_scale.py``
+    times at 10^2 - 10^4 flows."""
+    rng = np.random.default_rng(seed)
+    rate_caps = (None, 98e6, 105e6, 131e6)
+    capacities = {f"access{i}": 111e6 for i in range(num_flows)}
+    capacities.update({f"core{i}": 1.25e9 for i in range(core_links)})
+    flows = []
+    for i in range(num_flows):
+        src_core = int(rng.integers(0, core_links))
+        dst_core = int(rng.integers(0, core_links))
+        links = (f"access{i}", f"core{src_core}")
+        if dst_core != src_core:
+            links += (f"core{dst_core}",)
+        cap = rate_caps[int(rng.integers(0, len(rate_caps)))]
+        flows.append(FlowDemand(i, links, rate_cap=cap))
+    return flows, capacities
+
+
 @given(random_scenario())
+@example(star_of_sites_scenario(100))
 @settings(max_examples=120, deadline=None)
 def test_vectorized_matches_scalar_randomized(scenario):
     flows, capacities = scenario
@@ -195,7 +204,7 @@ def test_vectorized_matches_scalar_randomized(scenario):
 @settings(max_examples=60, deadline=None)
 def test_vectorized_rates_positive_and_complete(scenario):
     flows, capacities = scenario
-    rates = max_min_fair_allocation(flows, capacities)
+    rates = flow_set_allocation(flows, capacities)
     assert set(rates) == {flow.flow_id for flow in flows}
     for rate in rates.values():
         assert rate > 0
