@@ -8,8 +8,8 @@ random-first / rarest-first rule of :class:`repro.bittorrent.selection
 .PieceSelector`.  The conversion is the loop's hot spot, so it lives here as
 a *kernel* with a fixed array contract and two implementations:
 
-* ``"c"`` — ``_conversion.c`` compiled at import and called once per step
-  through :mod:`ctypes`.  Its random draws call numpy's own
+* ``"c"`` — ``_conversion.c`` compiled at import (:mod:`repro.native`) and
+  called once per step through :mod:`ctypes`.  Its random draws call numpy's own
   ``random_bounded_uint64`` (shipped in ``numpy/random/lib/libnpyrandom.a``)
   on the caller's bit generator: the routine behind
   ``Generator.integers(0, size)``, so the random stream is consumed bit for
@@ -37,25 +37,22 @@ received ``received[offsets[e]:offsets[e + 1]]``, in selection order.
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import platform
-import subprocess
-import sys
-import sysconfig
-import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
+
+from repro import native
 
 #: ``convert(up, down, surplus) -> (received, offsets)``.
 Convert = Callable[[np.ndarray, np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 SOURCE = Path(__file__).with_name("_conversion.c")
 
-#: Where compiled kernels are cached, keyed by a content hash.
-CACHE_DIR = Path(__file__).with_name("_kernel_cache")
+#: The kernel draws through numpy's random routines (``libnpyrandom.a``).
+LINK = (
+    "-L", str(Path(np.__file__).parent / "random" / "lib"), "-lnpyrandom", "-lm",
+)
 
 
 class Kernel(NamedTuple):
@@ -164,41 +161,6 @@ PYTHON_KERNEL = Kernel("python", bind_python)
 # ---------------------------------------------------------------------- #
 # the compiled kernel
 # ---------------------------------------------------------------------- #
-def build(compiler: str = "gcc", cache_dir: Path = CACHE_DIR) -> Path:
-    """Compile ``_conversion.c`` into ``cache_dir`` unless already cached.
-
-    The cache key hashes the source, the numpy version (the library links
-    numpy's random routines) and the platform.  The library is written to
-    a temporary name and renamed into place, so concurrent builders (the
-    process executor's workers) never load a half-written file.
-    """
-    source = SOURCE.read_bytes()
-    tag = "|".join(
-        (np.__version__, sys.platform, platform.machine(), sys.implementation.cache_tag)
-    )
-    digest = hashlib.sha256(source + tag.encode()).hexdigest()[:16]
-    target = cache_dir / f"conversion-{digest}.so"
-    if target.exists():
-        return target
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    partial = cache_dir / f".{target.name}.{os.getpid()}"
-    numpy_lib = Path(np.__file__).parent / "random" / "lib"
-    command = [
-        compiler, "-O2", "-shared", "-fPIC",
-        "-I", np.get_include(), "-I", sysconfig.get_paths()["include"],
-        str(SOURCE), "-L", str(numpy_lib), "-lnpyrandom", "-lm",
-        "-o", str(partial),
-    ]
-    try:
-        subprocess.run(command, check=True, capture_output=True, text=True)
-        os.replace(partial, target)
-    except subprocess.CalledProcessError as error:
-        raise OSError(f"{compiler} failed: {error.stderr.strip()}") from error
-    finally:
-        partial.unlink(missing_ok=True)
-    return target
-
-
 def _check(array: np.ndarray, dtype, shape: Tuple[int, ...]) -> None:
     """Refuse an array the compiled kernel would misread through its pointer."""
     if (
@@ -274,19 +236,5 @@ def load(path: Path) -> Kernel:
     return Kernel("c", bind_c)
 
 
-def load_kernel(compiler: str = "gcc", cache_dir: Path = CACHE_DIR) -> Kernel:
-    """The compiled kernel, or the Python one with a warning if it fails."""
-    try:
-        return load(build(compiler, cache_dir))
-    except (OSError, AttributeError) as error:
-        warnings.warn(
-            f"compiled conversion kernel unavailable ({error}); "
-            "using the Python fallback",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return PYTHON_KERNEL
-
-
 #: The kernel the broadcast loop binds at the start of every broadcast.
-KERNEL: Kernel = load_kernel()
+KERNEL: Kernel = native.load_kernel(SOURCE, load, PYTHON_KERNEL, link=LINK)

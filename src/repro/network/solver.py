@@ -1,4 +1,4 @@
-"""Vectorized max-min fair allocation over an indexed link set.
+"""Max-min fair allocation over an indexed link set.
 
 Max-min fair sharing divides each link's capacity among the flows crossing
 it by *progressive filling*: all unfrozen flows grow their rate together
@@ -12,26 +12,42 @@ structure stored as flat CSR-style index arrays that is maintained
 *incrementally* as flows come and go, so a reallocation never rebuilds the
 incidence from Python dicts.
 
-Each progressive-filling round is a handful of NumPy array operations —
-``bincount`` for the per-link crossing-flow counts, vector minima for the
-common increment, boolean masks for freezing — so the cost per round is
-O(entries) in C rather than O(flows × links) in Python.  The arithmetic
-mirrors the scalar reference oracle in ``tests/maxmin_oracle.py`` exactly
-(same increments, same freeze tolerances), which is what the equivalence
-property tests in ``tests/test_solver.py`` assert.
+:meth:`FlowSet.solve` runs one of two *kernels* over those arrays:
+
+* ``"c"`` — ``_maxmin.c`` compiled at import (:mod:`repro.native`) and
+  called once per solve through :mod:`ctypes`.
+* ``"python"`` — :func:`solve_python`, a handful of NumPy array operations
+  per filling round (``bincount`` for the per-link crossing-flow counts,
+  vector minima for the common increment, boolean masks for freezing).  It
+  is the fallback when the build or the load fails, selected by the
+  platform and announced by one warning.
+
+The compiled kernel replays the NumPy rounds operation for operation, so
+both return bit-identical rates (``tests/test_solver.py`` compares them
+after every mutation of generated flow-set histories).  The arithmetic
+mirrors the scalar reference oracle in ``tests/maxmin_oracle.py`` (same
+increments, same freeze tolerances), which the equivalence property tests
+in ``tests/test_solver.py`` also assert.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import ctypes
+from pathlib import Path
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
+
+from repro import native
 
 #: Saturation tolerance on residual link capacity (matches the scalar solver).
 SATURATION_EPS = 1e-9
 
 #: Tolerance used when deciding that a flow reached its rate cap.
 CAP_EPS = 1e-12
+
+SOURCE = Path(__file__).with_name("_maxmin.c")
+
 
 class FlowSet:
     """A dynamic set of flows over a fixed, integer-indexed link universe.
@@ -53,7 +69,8 @@ class FlowSet:
     """
 
     def __init__(self, link_capacities: Sequence[float]) -> None:
-        caps = np.asarray(link_capacities, dtype=np.float64)
+        # A private contiguous copy: the compiled kernel reads it by address.
+        caps = np.array(link_capacities, dtype=np.float64)
         if caps.ndim != 1:
             raise ValueError("link_capacities must be one-dimensional")
         if caps.size and not (caps > 0).all():
@@ -73,6 +90,10 @@ class FlowSet:
         self._entry_flow = np.empty(64, dtype=np.int32)
         self._entry_count = 0
         self.num_flows = 0
+        # The compiled kernel's output buffer, and the addresses it reads
+        # the arrays above through (``None`` after any of them moves).
+        self._rates = np.zeros(pool, dtype=np.float64)
+        self._addresses: Optional[tuple] = None
 
     # ------------------------------------------------------------------ #
     # pool management
@@ -88,6 +109,8 @@ class FlowSet:
         self._active = np.concatenate([self._active, np.zeros(old, dtype=bool)])
         self._has_links = np.concatenate([self._has_links, np.zeros(old, dtype=bool)])
         self._rate_caps = np.concatenate([self._rate_caps, np.full(old, np.inf)])
+        self._rates = np.zeros(new, dtype=np.float64)
+        self._addresses = None
         self._free.extend(range(new - 1, old - 1, -1))
 
     def add(
@@ -126,6 +149,7 @@ class FlowSet:
                 grown_flow[: self._entry_count] = self._entry_flow[: self._entry_count]
                 self._entry_link = grown_link
                 self._entry_flow = grown_flow
+                self._addresses = None
             self._entry_link[self._entry_count : end] = route
             self._entry_flow[self._entry_count : end] = slot
             self._entry_count = end
@@ -185,75 +209,8 @@ class FlowSet:
 
         Inactive slots read 0.  Flows with no links and no rate cap read
         ``inf`` (loopback transfers are only bounded by the caller).
-
-        The progressive filling works on arrays compacted to the active
-        linked flows, and exploits the filling invariant that every unfrozen
-        flow carries the same allocation: the common *fill level* is a
-        scalar accumulating exactly the increments the scalar reference adds
-        per flow, so the two implementations produce identical rates.
         """
-        pool = self._active.size
-        rates = np.zeros(pool, dtype=np.float64)
-        # Link-free flows are bounded only by their cap.
-        loop = self._active & ~self._has_links
-        if loop.any():
-            rates[loop] = self._rate_caps[loop]
-        linked = self._active & self._has_links
-        if not linked.any():
-            return rates
-
-        slots = np.flatnonzero(linked)
-        flow_count = slots.size
-        caps = self._rate_caps[slots]
-        finite_cap = np.isfinite(caps)
-        any_finite_cap = bool(finite_cap.any())
-        entry_link = self._entry_link[: self._entry_count]
-        # Entries reference pool slots; renumber them to the compact ids.
-        entry_flow = np.searchsorted(slots, self._entry_flow[: self._entry_count])
-
-        out = np.zeros(flow_count, dtype=np.float64)
-        unfrozen = np.ones(flow_count, dtype=bool)
-        remaining = self._caps.copy()
-        fill = 0.0
-
-        # Every unfrozen flow crosses at least one link, so some link always
-        # has a positive crossing count and the common increment is finite.
-        # Each round freezes at least one flow (defensively: all of them),
-        # so the loop terminates after at most flow_count rounds.
-        for _ in range(flow_count + self.num_links + 2):
-            entry_live = unfrozen[entry_flow]
-            counts = np.bincount(entry_link[entry_live], minlength=self.num_links)
-            crossed = counts > 0
-            increment = float((remaining[crossed] / counts[crossed]).min())
-            frozen = np.zeros(flow_count, dtype=bool)
-            if any_finite_cap:
-                cap_flows = unfrozen & finite_cap
-                if cap_flows.any():
-                    residual = caps[cap_flows] - fill
-                    res_min = float(residual.min())
-                    if res_min < increment:
-                        increment = res_min
-                    frozen[np.flatnonzero(cap_flows)[residual <= increment + CAP_EPS]] = True
-            if increment < 0.0:
-                increment = 0.0
-
-            fill += increment
-            remaining -= increment * counts
-            np.maximum(remaining, 0.0, out=remaining)
-
-            saturated = crossed & (remaining <= SATURATION_EPS)
-            if saturated.any():
-                frozen[entry_flow[entry_live & saturated[entry_link]]] = True
-            frozen &= unfrozen
-            if not frozen.any():
-                # Numerical corner: freeze everything to guarantee termination.
-                frozen = unfrozen.copy()
-            out[frozen] = fill
-            unfrozen &= ~frozen
-            if not unfrozen.any():
-                break
-        rates[slots] = out
-        return rates
+        return KERNEL.solve(self)
 
     def __len__(self) -> int:
         return self.num_flows
@@ -264,3 +221,119 @@ class FlowSet:
             f"entries={self._entry_count})"
         )
 
+
+def solve_python(flows: FlowSet) -> np.ndarray:
+    """The NumPy kernel: :meth:`FlowSet.solve` by array operations.
+
+    The progressive filling works on arrays compacted to the active
+    linked flows, and exploits the filling invariant that every unfrozen
+    flow carries the same allocation: the common *fill level* is a
+    scalar accumulating exactly the increments the scalar reference adds
+    per flow, so the two implementations produce identical rates.
+    """
+    pool = flows._active.size
+    rates = np.zeros(pool, dtype=np.float64)
+    # Link-free flows are bounded only by their cap.
+    loop = flows._active & ~flows._has_links
+    if loop.any():
+        rates[loop] = flows._rate_caps[loop]
+    linked = flows._active & flows._has_links
+    if not linked.any():
+        return rates
+
+    slots = np.flatnonzero(linked)
+    flow_count = slots.size
+    caps = flows._rate_caps[slots]
+    finite_cap = np.isfinite(caps)
+    any_finite_cap = bool(finite_cap.any())
+    entry_link = flows._entry_link[: flows._entry_count]
+    # Entries reference pool slots; renumber them to the compact ids.
+    entry_flow = np.searchsorted(slots, flows._entry_flow[: flows._entry_count])
+
+    out = np.zeros(flow_count, dtype=np.float64)
+    unfrozen = np.ones(flow_count, dtype=bool)
+    remaining = flows._caps.copy()
+    fill = 0.0
+
+    # Every unfrozen flow crosses at least one link, so some link always
+    # has a positive crossing count and the common increment is finite.
+    # Each round freezes at least one flow (defensively: all of them),
+    # so the loop terminates after at most flow_count rounds.
+    for _ in range(flow_count + flows.num_links + 2):
+        entry_live = unfrozen[entry_flow]
+        counts = np.bincount(entry_link[entry_live], minlength=flows.num_links)
+        crossed = counts > 0
+        increment = float((remaining[crossed] / counts[crossed]).min())
+        frozen = np.zeros(flow_count, dtype=bool)
+        if any_finite_cap:
+            cap_flows = unfrozen & finite_cap
+            if cap_flows.any():
+                residual = caps[cap_flows] - fill
+                res_min = float(residual.min())
+                if res_min < increment:
+                    increment = res_min
+                frozen[np.flatnonzero(cap_flows)[residual <= increment + CAP_EPS]] = True
+        if increment < 0.0:
+            increment = 0.0
+
+        fill += increment
+        remaining -= increment * counts
+        np.maximum(remaining, 0.0, out=remaining)
+
+        saturated = crossed & (remaining <= SATURATION_EPS)
+        if saturated.any():
+            frozen[entry_flow[entry_live & saturated[entry_link]]] = True
+        frozen &= unfrozen
+        if not frozen.any():
+            # Numerical corner: freeze everything to guarantee termination.
+            frozen = unfrozen.copy()
+        out[frozen] = fill
+        unfrozen &= ~frozen
+        if not unfrozen.any():
+            break
+    rates[slots] = out
+    return rates
+
+
+class Kernel(NamedTuple):
+    """A solve implementation: its name and ``solve(flow_set) -> rates``."""
+
+    name: str
+    solve: Callable[[FlowSet], np.ndarray]
+
+
+PYTHON_KERNEL = Kernel("python", solve_python)
+
+
+def load(path: Path) -> Kernel:
+    """Load a built library as the ``"c"`` kernel."""
+    function = ctypes.CDLL(str(path)).solve
+    pointer, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    function.argtypes = [i64, i64, i64, f64, f64] + [pointer] * 7
+    function.restype = i64
+
+    def solve_c(flows: FlowSet) -> np.ndarray:
+        addresses = flows._addresses
+        if addresses is None:
+            # Reading an array's address costs microseconds; a solve with
+            # few flows costs about as much, so they are read once per move.
+            addresses = flows._addresses = tuple(
+                array.ctypes.data
+                for array in (
+                    flows._active, flows._has_links, flows._rate_caps,
+                    flows._entry_link, flows._entry_flow, flows._caps, flows._rates,
+                )
+            )
+        status = function(
+            flows._active.size, flows._entry_count, flows.num_links,
+            SATURATION_EPS, CAP_EPS, *addresses,
+        )
+        if status:
+            raise RuntimeError(f"max-min solve kernel failed (status {status})")
+        return flows._rates.copy()
+
+    return Kernel("c", solve_c)
+
+
+#: The kernel :meth:`FlowSet.solve` runs.
+KERNEL: Kernel = native.load_kernel(SOURCE, load, PYTHON_KERNEL)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.bittorrent import conversion
 from repro.bittorrent.swarm import SwarmConfig
+from repro.network import solver
 from repro.graph.wgraph import WeightedGraph
 from repro.network.grid5000 import Grid5000Builder, build_multi_site, default_cluster_of
 from repro.network.routing import RoutingTable
@@ -96,18 +97,20 @@ def small_swarm_config() -> SwarmConfig:
 
 
 # --------------------------------------------------------------------- #
-# conversion kernels
+# compiled kernels
 # --------------------------------------------------------------------- #
-#: The kernel the package loaded at import: the compiled one unless its
-#: build or load failed on this platform.
+#: The kernels the package loaded at import (fragment conversion and the
+#: max-min solve): the compiled ones unless a build or load failed on this
+#: platform.
 LOADED_KERNEL = conversion.KERNEL
+LOADED_SOLVE_KERNEL = solver.KERNEL
 
 
 def over_kernels(argname, values):
-    """Parametrize ``argname`` over ``values`` on both conversion kernels.
+    """Parametrize ``argname`` over ``values`` on both kernel sets.
 
-    The compiled kernel keeps the bare ids (``test_x[event]``); the Python
-    fallback runs as ``test_x[event-python]``.  Pairs with :func:`kernel`.
+    The compiled kernels keep the bare ids (``test_x[event]``); the Python
+    fallbacks run as ``test_x[event-python]``.  Pairs with :func:`kernel`.
     """
     return pytest.mark.parametrize(
         (argname, "kernel"),
@@ -122,14 +125,16 @@ def over_kernels(argname, values):
 
 @pytest.fixture
 def kernel(request, monkeypatch) -> str:
-    """Route every broadcast of the test through the named kernel."""
+    """Route conversion and solve of every broadcast through the named kernels."""
     name = request.param
     if name == "python":
         monkeypatch.setattr(conversion, "KERNEL", conversion.PYTHON_KERNEL)
-    elif LOADED_KERNEL.name != "c":
-        pytest.skip("compiled conversion kernel unavailable on this platform")
+        monkeypatch.setattr(solver, "KERNEL", solver.PYTHON_KERNEL)
+    elif LOADED_KERNEL.name != "c" or LOADED_SOLVE_KERNEL.name != "c":
+        pytest.skip("compiled kernels unavailable on this platform")
     else:
         monkeypatch.setattr(conversion, "KERNEL", LOADED_KERNEL)
+        monkeypatch.setattr(solver, "KERNEL", LOADED_SOLVE_KERNEL)
     return name
 
 

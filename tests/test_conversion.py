@@ -15,6 +15,7 @@ import pytest
 from conftest import LOADED_KERNEL
 from hypothesis import given, settings, strategies as st
 
+from repro import native
 from repro.bittorrent import conversion
 from repro.bittorrent.selection import PieceSelector
 from repro.bittorrent.swarm import BitTorrentBroadcast
@@ -216,8 +217,10 @@ def broadcast_records(kernel, monkeypatch):
 
 def test_failed_build_falls_back_with_one_warning(tmp_path, monkeypatch):
     with pytest.warns(RuntimeWarning, match="Python fallback") as warned:
-        kernel = conversion.load_kernel(
-            compiler=str(tmp_path / "no-such-compiler"), cache_dir=tmp_path / "cache"
+        kernel = native.load_kernel(
+            conversion.SOURCE, conversion.load, conversion.PYTHON_KERNEL,
+            link=conversion.LINK, compiler=str(tmp_path / "no-such-compiler"),
+            cache_dir=tmp_path / "cache",
         )
     assert len(warned) == 1
     assert kernel is conversion.PYTHON_KERNEL
@@ -245,9 +248,9 @@ def test_compiled_kernel_refuses_arrays_it_would_misread():
 
 @needs_compiler
 def test_build_is_cached_under_a_content_hash(tmp_path):
-    built = conversion.build(cache_dir=tmp_path)
+    built = native.build(conversion.SOURCE, conversion.LINK, cache_dir=tmp_path)
     stamp = built.stat().st_mtime_ns
-    assert conversion.build(cache_dir=tmp_path) == built
+    assert native.build(conversion.SOURCE, conversion.LINK, cache_dir=tmp_path) == built
     assert built.stat().st_mtime_ns == stamp
     assert [p.name for p in tmp_path.iterdir()] == [built.name]
     assert conversion.load(built).name == "c"

@@ -22,9 +22,10 @@ Bordeaux bottleneck, and a long broadcast with frequent rechokes so the
 tit-for-tat choker, optimistic rotation and idle-slot filling all consume
 the random stream.
 
-Every golden test runs on both fragment-conversion kernels
-(:mod:`repro.bittorrent.conversion`): ``[event]`` is the compiled kernel,
-``[event-python]`` the Python fallback.  The goldens are shared — the
+Every golden test runs on both kernel sets — fragment conversion
+(:mod:`repro.bittorrent.conversion`) and the max-min solve
+(:mod:`repro.network.solver`): ``[event]`` runs both compiled kernels,
+``[event-python]`` both Python fallbacks.  The goldens are shared — the
 replay contract spans kernels.
 """
 

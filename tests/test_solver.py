@@ -4,10 +4,13 @@ The scalar progressive-filling implementation in ``tests/maxmin_oracle.py``
 is the reference oracle; the vectorized :class:`~repro.network.solver.FlowSet`
 must reproduce it on randomized instances — shared bottlenecks, rate caps,
 loopback flows, every mix — and stay feasible under ``validate_allocation``.
+Its two solve kernels, compiled and NumPy, must return bit-identical rates
+after every mutation of generated flow-set histories.
 """
 
 import numpy as np
 import pytest
+from conftest import LOADED_SOLVE_KERNEL
 from hypothesis import example, given, settings, strategies as st
 from maxmin_oracle import (
     FlowDemand,
@@ -16,7 +19,12 @@ from maxmin_oracle import (
     validate_allocation,
 )
 
+from repro import native
+from repro.bittorrent.swarm import BitTorrentBroadcast
+from repro.network import solver
+from repro.network.grid5000 import build_bordeaux_site
 from repro.network.solver import FlowSet
+from repro.tomography.pipeline import default_swarm_config
 
 RELATIVE_TOL = 1e-6
 
@@ -208,3 +216,90 @@ def test_vectorized_rates_positive_and_complete(scenario):
     assert set(rates) == {flow.flow_id for flow in flows}
     for rate in rates.values():
         assert rate > 0
+
+
+# --------------------------------------------------------------------- #
+# compiled solve kernel == NumPy solve kernel, bit for bit
+# --------------------------------------------------------------------- #
+needs_compiler = pytest.mark.skipif(
+    LOADED_SOLVE_KERNEL.name != "c",
+    reason="compiled solve kernel unavailable on this platform",
+)
+
+#: Capacities and caps drawn from a few round values as well as at random,
+#: so fair shares tie, caps land exactly on them and links saturate together.
+ROUND_VALUES = (1.0, 2.0, 3.0, 10.0, 12.5, 1e9 / 3)
+amounts = st.one_of(
+    st.sampled_from(ROUND_VALUES), st.floats(min_value=0.25, max_value=1e4)
+)
+
+
+@st.composite
+def flow_set_history(draw):
+    """Link capacities and a sequence of FlowSet mutations.
+
+    A history opens with a burst of adds (so the pool grows past its initial
+    8 slots), then interleaves adds and removes (so slots are recycled) with
+    link-capacity changes.  Flows mix finite rate caps with uncapped ones,
+    and link-free loopback flows, with and without caps, ride along.
+    """
+    num_links = draw(st.integers(min_value=1, max_value=12))
+    capacities = [draw(amounts) for _ in range(num_links)]
+    links = st.integers(min_value=0, max_value=num_links - 1)
+    add = st.tuples(
+        st.just("add"),
+        st.one_of(st.just([]), st.lists(links, min_size=1, max_size=5)),
+        st.one_of(st.none(), amounts),
+    )
+    mutation = st.one_of(
+        add,
+        st.tuples(st.just("remove"), st.integers(min_value=0), st.none()),
+        st.tuples(st.just("capacity"), links, amounts),
+    )
+    burst = draw(st.lists(add, min_size=1, max_size=24))
+    return capacities, burst + draw(st.lists(mutation, max_size=40))
+
+
+@needs_compiler
+@given(flow_set_history())
+# Fused into one FMA, remaining - inc * count rounds differently here.
+@example(([1.0, 1.25], [("add", [0], None), ("add", [0, 1], None),
+                        ("add", [1], None), ("add", [0, 1], None)]))
+@settings(max_examples=200, deadline=None)
+def test_compiled_solve_is_bit_identical_to_numpy(history):
+    capacities, mutations = history
+    flow_set = FlowSet(capacities)
+    live = []
+    for kind, first, second in mutations:
+        if kind == "add":
+            live.append(flow_set.add(first, second))
+        elif kind == "remove" and live:
+            flow_set.remove(live.pop(first % len(live)))
+        elif kind == "capacity":
+            flow_set.set_link_capacity(first, second)
+        compiled = LOADED_SOLVE_KERNEL.solve(flow_set)
+        reference = solver.solve_python(flow_set)
+        assert compiled.view(np.int64).tolist() == reference.view(np.int64).tolist()
+
+
+def broadcast_records(solve_kernel, monkeypatch):
+    """Trace and fragment matrix of one broadcast under ``solve_kernel``."""
+    monkeypatch.setattr(solver, "KERNEL", solve_kernel)
+    topology = build_bordeaux_site(bordeplage=3, bordereau=3, borderline=2)
+    broadcast = BitTorrentBroadcast(topology, default_swarm_config(120))
+    trace = []
+    result = broadcast.run(rng=np.random.default_rng(21), trace=trace)
+    return trace, result.fragments.counts.tolist(), result.completion_times
+
+
+def test_failed_build_falls_back_with_one_warning(tmp_path, monkeypatch):
+    with pytest.warns(RuntimeWarning, match="Python fallback") as warned:
+        kernel = native.load_kernel(
+            solver.SOURCE, solver.load, solver.PYTHON_KERNEL,
+            compiler=str(tmp_path / "no-such-compiler"), cache_dir=tmp_path / "cache",
+        )
+    assert len(warned) == 1
+    assert kernel is solver.PYTHON_KERNEL
+    assert broadcast_records(kernel, monkeypatch) == broadcast_records(
+        LOADED_SOLVE_KERNEL, monkeypatch
+    )

@@ -16,8 +16,8 @@ WAN campaign (churny control plane, TCP rate caps), and the oversubscribed
 fat-tree from the beyond-paper families.  A fine-``control_dt`` case pins
 the high-fidelity regime where the event mode's jumps are largest and its
 grid arithmetic is most exposed to float-edge mistakes.  The scenario
-tests run on both fragment-conversion kernels (``[2x2]`` compiled,
-``[2x2-python]`` the fallback).
+tests run on both kernel sets, fragment conversion and max-min solve
+(``[2x2]`` compiled, ``[2x2-python]`` the fallbacks).
 """
 
 import dataclasses
