@@ -63,14 +63,14 @@ def _run_phase(
     if not transfers:
         return 0.0, 0.0
     network = FluidNetwork(topology, routing)
-    total = 0.0
-    for src, dst, size in transfers:
-        if src == dst or size <= 0:
-            continue
-        network.start_transfer(src, dst, float(size))
-        total += float(size)
+    requests = [
+        (src, dst, float(size), None)
+        for src, dst, size in transfers
+        if src != dst and size > 0
+    ]
+    network.start_transfers(requests)
     network.run_until_complete()
-    return network.now, total
+    return network.now, sum((size for _, _, size, _ in requests), 0.0)
 
 
 def _representatives(partition: Partition, hosts: Sequence[str]) -> Dict[int, str]:

@@ -2,9 +2,10 @@
 
 A :class:`PeerState` corresponds to one instrumented BitTorrent client in the
 paper's measurement phase.  It tracks which fragments the peer holds, which
-neighbours it is connected to, whom it is currently unchoking, and how much
+neighbours it is connected to, its optimistic-unchoke target, and how much
 it downloaded from each neighbour during the current choking round (the
-tit-for-tat reciprocation signal).
+tit-for-tat reciprocation signal).  The unchoke relation itself lives in the
+broadcast loop's pipe table (:mod:`repro.bittorrent.swarm`).
 """
 
 from __future__ import annotations
@@ -31,10 +32,8 @@ class PeerState:
         Boolean bitfield of fragments held.
     neighbors:
         Names of peers this client may exchange data with (tracker-provided).
-    unchoked:
-        Peers this client is currently uploading to (at most ``upload_slots``).
     optimistic:
-        The current optimistic-unchoke target, if any (member of ``unchoked``).
+        The current optimistic-unchoke target, if any.
     downloaded_this_round:
         Bytes received per neighbour during the current choking round; reset
         at every rechoke.  This is the reciprocation metric of the choker.
@@ -45,7 +44,6 @@ class PeerState:
     num_fragments: int
     have: np.ndarray = field(default=None)  # type: ignore[assignment]
     neighbors: Set[str] = field(default_factory=set)
-    unchoked: Set[str] = field(default_factory=set)
     optimistic: Optional[str] = None
     downloaded_this_round: Dict[str, float] = field(default_factory=dict)
     completion_time: Optional[float] = None

@@ -48,7 +48,6 @@ see docs/workloads.md.
 
 from __future__ import annotations
 
-import bisect
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -274,7 +273,6 @@ class BroadcastSession:
         self.result: Optional[BroadcastResult] = None
         self.finished = False
         self._request: Optional[Tuple] = None
-        self._pipe_completed = False
         self._pending_churn: List[Tuple[str, str, Optional[np.random.Generator]]] = []
         self._started = False
         self._gen = broadcast._drive(self, root, rng, trace)
@@ -293,11 +291,6 @@ class BroadcastSession:
     def _drain_churn(self) -> List[Tuple[str, str, Optional[np.random.Generator]]]:
         ops, self._pending_churn = self._pending_churn, []
         return ops
-
-    def _on_pipe_complete(self, transfer: FluidTransfer) -> None:
-        # A pipe ran its whole byte budget during a fluid advance: the loop
-        # must rebuild its slot-aligned vectors before the next read.
-        self._pipe_completed = True
 
     # ------------------------------------------------------------------ #
     # driving
@@ -519,39 +512,46 @@ class BitTorrentBroadcast:
             fragment_size, selector.random_first_threshold,
         )
 
-        # Active fluid pipes keyed by (uploader, downloader); ``pipe_order``
-        # mirrors the keys in sorted order (maintained by bisect on
-        # open/close) so the per-step scans never re-sort.  Aligned with
-        # ``pipe_order`` are contiguous per-pipe vectors (fluid slot, host
-        # indices, consumed-byte base, tit-for-tat credit base, fragment
-        # progress base) rebuilt lazily after membership changes.  The bases
-        # are *anchored*: ``pipe_consumed``/``pipe_progress`` are only
-        # written at a pipe's conversion events (and ``pipe_credit_base`` at
-        # credit flushes), so the byte state observed at any control point is
-        # an analytic function of the last event — identical whether or not
-        # the inert points in between were visited.  That anchoring is what
-        # makes the event-stepped mode replay the fixed loop bit for bit.
-        pipes: Dict[Tuple[str, str], FluidTransfer] = {}
-        pipe_order: List[Tuple[str, str]] = []
-        pipe_pos: Dict[Tuple[str, str], int] = {}
-        pipe_slots = np.empty(0, dtype=np.int64)
-        pipe_up = np.empty(0, dtype=np.int64)
-        pipe_down = np.empty(0, dtype=np.int64)
-        pipe_consumed = np.empty(0, dtype=np.float64)
-        pipe_credit_base = np.empty(0, dtype=np.float64)
-        pipe_progress = np.empty(0, dtype=np.float64)
+        # The pipe table: dense host x host state at flat index ``u * n + d``.
+        # ``unchoked`` is the unchoke relation and ``open_cells`` the pipes
+        # holding a live fluid transfer (kept in ``pipe_transfer``, with the
+        # FlowSet slot it got at open in ``pipe_slot``).  Each pipe has three
+        # *anchored* byte bases: ``consumed`` and ``progress`` are only
+        # written at the pipe's conversion events, ``credited`` at credit
+        # flushes, so the byte state observed at any control point is an
+        # analytic function of the last event — identical whether or not the
+        # inert points in between were visited.  That anchoring is what makes
+        # the event-stepped mode replay the fixed loop bit for bit.  A closed
+        # pipe keeps its fragment progress for a later reopen.
+        cells = n * n
+        unchoked = np.zeros((n, n), dtype=bool)
+        open_cells = np.zeros(cells, dtype=bool)
+        pipe_transfer: List[Optional[FluidTransfer]] = [None] * cells
+        # Survives repin_routes: see test_repinned_transfers_keep_their_slots.
+        pipe_slot = np.zeros(cells, dtype=np.int64)
+        consumed = np.zeros(cells)
+        credited = np.zeros(cells)
+        progress = np.zeros(cells)
         # A pipe whose fluid transfer ran its whole byte budget is detached
-        # from the FlowSet (its slot is recycled) but, exactly as in the
-        # scalar implementation, stays open and simply starves: its frozen
-        # transferred value is patched over the slot read each step.
-        pipe_dead_positions = np.empty(0, dtype=np.int64)
-        pipe_dead_values = np.empty(0, dtype=np.float64)
+        # from the FlowSet (its slot is recycled) but stays open and simply
+        # starves: its frozen total, the budget, is patched over the slot read.
+        dead = np.zeros(cells, dtype=bool)
+        pipe_size = float(cfg.torrent.size) * 4.0 + 1.0
+        # Rank keys fix the two replay orders: opens run in (uploader index,
+        # downloader name) order, so transfer ids replay; the per-pipe
+        # vectors follow (uploader name, downloader name) order, so the
+        # conversion pass and tit-for-tat crediting replay.
+        rank = np.argsort(lex_order)
+        open_key = (np.arange(n)[:, None] * n + rank[None, :]).reshape(-1)
+        pipe_key = (rank[:, None] * n + rank[None, :]).reshape(-1)
+        # Working copies for the open pipes, in ``pipe_key`` order: gathered
+        # from the table when the open set changes, stored back before.
+        pipe_cells = np.empty(0, dtype=np.int64)
+        pipe_slots = pipe_up = pipe_down = pipe_cells
+        pipe_consumed = pipe_credit_base = pipe_progress = np.empty(0)
+        pipe_dead_positions = pipe_cells
         pipes_dirty = False
-        # Fragment progress of currently-closed pipes (progress survives a
-        # close/reopen cycle, as in the scalar implementation).
-        progress_carry: Dict[Tuple[str, str], float] = {}
-        # Sorted view of every peer's unchoke set, same replay rationale.
-        unchoked_order: Dict[str, List[str]] = {name: [] for name in self.hosts}
+        pipe_died = False
 
         incomplete: Set[str] = {name for name in self.hosts if name != root}
         incomplete_mask = np.ones(n, dtype=bool)
@@ -559,110 +559,75 @@ class BitTorrentBroadcast:
         time = start
         round_index = 0
         next_rechoke = start
+        hosts = self.hosts
 
         def interested_in(uploader_index: int) -> List[str]:
             """Neighbours of the uploader that want something it has, by name."""
-            mask = neighbor_mask[uploader_index] & incomplete_mask
-            mask &= wanted[uploader_index] > 0
+            mask = neighbor_mask[uploader_index] & wants[uploader_index]
             if not mask.any():
                 return []
-            hosts = self.hosts
             return [hosts[i] for i in lex_order[mask[lex_order]]]
 
-        def open_pipe(uploader: str, downloader: str) -> None:
-            nonlocal pipes_dirty
-            key = (uploader, downloader)
-            if key in pipes:
-                return
-            transfer = fluid.start_transfer(
-                uploader,
-                downloader,
-                size=float(cfg.torrent.size) * 4.0 + 1.0,
-                rate_cap=self._rate_cap(uploader, downloader),
-                on_complete=session._on_pipe_complete,
-            )
-            pipes[key] = transfer
-            bisect.insort(pipe_order, key)
-            pipes_dirty = True
+        def pipe_completed(transfer: FluidTransfer) -> None:
+            # A pipe ran its whole byte budget during a fluid advance: the
+            # loop must rebuild its vectors before the next read.
+            nonlocal pipe_died
+            dead[index[transfer.src] * n + index[transfer.dst]] = True
+            pipe_died = True
 
-        def close_pipe(uploader: str, downloader: str, keep_progress: bool = True) -> None:
-            nonlocal pipes_dirty
-            key = (uploader, downloader)
-            transfer = pipes.pop(key, None)
-            if transfer is None:
-                if not keep_progress:
-                    progress_carry.pop(key, None)
-                return
-            fluid.cancel_transfer(transfer)
-            del pipe_order[bisect.bisect_left(pipe_order, key)]
-            pipes_dirty = True
-            position = pipe_pos.pop(key, None)
-            if position is None:
-                # Opened and closed before the vectors were ever rebuilt: no
-                # bytes moved, nothing to flush.
-                if not keep_progress:
-                    progress_carry.pop(key, None)
-                return
-            # Settle the anchored bases at the close time: the cancelled
-            # transfer's frozen byte count is exact as of the current clock.
-            moved = transfer.transferred
-            # Flush the round's tit-for-tat credit before the pipe vanishes.
-            delta = moved - pipe_credit_base[position]
-            if delta > 0:
-                peers[downloader].credit_download(uploader, float(delta))
-            if keep_progress:
-                progress_carry[key] = float(
-                    pipe_progress[position] + (moved - pipe_consumed[position])
-                )
-            else:
-                progress_carry.pop(key, None)
+        def store_pipe_vectors() -> None:
+            consumed[pipe_cells] = pipe_consumed
+            credited[pipe_cells] = pipe_credit_base
+            progress[pipe_cells] = pipe_progress
 
-        def rebuild_pipe_vectors() -> None:
-            nonlocal pipes_dirty, pipe_pos, pipe_slots, pipe_up, pipe_down
+        def load_pipe_vectors() -> None:
+            nonlocal pipes_dirty, pipe_cells, pipe_slots, pipe_up, pipe_down
             nonlocal pipe_consumed, pipe_credit_base, pipe_progress
-            nonlocal pipe_dead_positions, pipe_dead_values
-            count = len(pipe_order)
-            new_pos: Dict[Tuple[str, str], int] = {}
-            slots = np.empty(count, dtype=np.int64)
-            up_idx = np.empty(count, dtype=np.int64)
-            down_idx = np.empty(count, dtype=np.int64)
-            new_consumed = np.zeros(count, dtype=np.float64)
-            new_base = np.zeros(count, dtype=np.float64)
-            new_progress = np.zeros(count, dtype=np.float64)
-            dead_positions: List[int] = []
-            dead_values: List[float] = []
-            old_pos = pipe_pos
-            for position, key in enumerate(pipe_order):
-                new_pos[key] = position
-                transfer = pipes[key]
-                slot = transfer._slot
-                if slot < 0:
-                    # Completed transfer: park the position on slot 0 and
-                    # patch its frozen byte count over the vector read.
-                    slot = 0
-                    dead_positions.append(position)
-                    dead_values.append(transfer.transferred)
-                slots[position] = slot
-                uploader, downloader = key
-                up_idx[position] = index[uploader]
-                down_idx[position] = index[downloader]
-                previous = old_pos.get(key)
-                if previous is None:
-                    new_progress[position] = progress_carry.pop(key, 0.0)
-                else:
-                    new_consumed[position] = pipe_consumed[previous]
-                    new_base[position] = pipe_credit_base[previous]
-                    new_progress[position] = pipe_progress[previous]
-            pipe_pos = new_pos
-            pipe_slots = slots
-            pipe_up = up_idx
-            pipe_down = down_idx
-            pipe_consumed = new_consumed
-            pipe_credit_base = new_base
-            pipe_progress = new_progress
-            pipe_dead_positions = np.array(dead_positions, dtype=np.int64)
-            pipe_dead_values = np.array(dead_values, dtype=np.float64)
+            nonlocal pipe_dead_positions
+            cells_open = np.flatnonzero(open_cells)
+            pipe_cells = cells_open[np.argsort(pipe_key[cells_open])]
+            pipe_up, pipe_down = np.divmod(pipe_cells, n)
+            pipe_consumed = consumed[pipe_cells]
+            pipe_credit_base = credited[pipe_cells]
+            pipe_progress = progress[pipe_cells]
+            pipe_dead_positions = np.flatnonzero(dead[pipe_cells])
+            pipe_slots = pipe_slot[pipe_cells]
+            # Dead pipes park on slot 0; moved_at patches their totals in.
+            pipe_slots[pipe_dead_positions] = 0
             pipes_dirty = False
+
+        def change_pipes(closing: np.ndarray, opening: np.ndarray) -> None:
+            """Close and open pipes (table cells) as one batched transition."""
+            store_pipe_vectors()
+            if closing.size:
+                closed = closing.tolist()
+                moved = fluid.cancel_transfers([pipe_transfer[cell] for cell in closed])
+                # Flush the round's tit-for-tat credit before the pipes vanish.
+                owed = moved - credited[closing]
+                paying = owed > 0
+                for cell, amount in zip(closing[paying].tolist(), owed[paying].tolist()):
+                    peer_list[cell % n].credit_download(hosts[cell // n], amount)
+                # Settle the anchored bases at the close time: the cancelled
+                # transfers' frozen byte counts are exact as of the clock.
+                progress[closing] += moved - consumed[closing]
+                consumed[closing] = 0.0
+                credited[closing] = 0.0
+                dead[closing] = False
+                open_cells[closing] = False
+                for cell in closed:
+                    pipe_transfer[cell] = None
+            if opening.size:
+                opening = opening[np.argsort(open_key[opening])]
+                pairs = [(hosts[cell // n], hosts[cell % n]) for cell in opening.tolist()]
+                transfers = fluid.start_transfers(
+                    [(up, down, pipe_size, self._rate_cap(up, down)) for up, down in pairs],
+                    on_complete=pipe_completed,
+                )
+                for cell, transfer in zip(opening.tolist(), transfers):
+                    pipe_transfer[cell] = transfer
+                pipe_slot[opening] = [transfer._slot for transfer in transfers]
+                open_cells[opening] = True
+            load_pipe_vectors()
 
         def moved_at(t: float) -> np.ndarray:
             """Exact per-pipe transferred bytes at absolute time ``t``.
@@ -674,7 +639,7 @@ class BitTorrentBroadcast:
             """
             moved = fluid.transferred_at(pipe_slots, t)
             if pipe_dead_positions.size:
-                moved[pipe_dead_positions] = pipe_dead_values
+                moved[pipe_dead_positions] = pipe_size
             return moved
 
         def flush_credits() -> None:
@@ -686,44 +651,37 @@ class BitTorrentBroadcast:
             """
             moved = moved_at(time)
             owed = moved - pipe_credit_base
-            for position in np.flatnonzero(owed > 0):
-                uploader, downloader = pipe_order[position]
-                peers[downloader].credit_download(
-                    uploader, float(owed[position])
-                )
+            paying = np.flatnonzero(owed > 0)
+            for uploader, downloader, amount in zip(
+                pipe_up[paying].tolist(), pipe_down[paying].tolist(),
+                owed[paying].tolist(),
+            ):
+                peer_list[downloader].credit_download(hosts[uploader], amount)
             np.copyto(pipe_credit_base, moved)
 
-        def sync_pipes() -> None:
-            """Make the fluid flow set match the current unchoke/interest state.
+        def sync_pipes() -> bool:
+            """Make the fluid flow set match the unchoke/interest state.
 
-            Iteration follows the maintained sorted unchoke/pipe orders so
-            that the order in which pipes are opened — and therefore the
-            consumption of the random stream — is identical across processes
-            regardless of string-hash randomisation; campaigns replay
-            bit-for-bit from their seed.
+            A pipe is wanted where the uploader unchokes an incomplete
+            downloader that wants one of its fragments.  One mask diff
+            against the open pipes gives the step's closes and opens, applied
+            as one transition; returns whether anything changed.
             """
-            for uploader_index, uploader in enumerate(self.hosts):
-                up = peers[uploader]
-                if up.fragment_count == 0:
-                    continue
-                order = unchoked_order[uploader]
-                for downloader in list(order):
-                    if downloader not in up.neighbors:
-                        up.unchoked.discard(downloader)
-                        order.remove(downloader)
-                        close_pipe(uploader, downloader)
-                        continue
-                    if (
-                        downloader not in incomplete
-                        or wanted[uploader_index, index[downloader]] <= 0
-                    ):
-                        close_pipe(uploader, downloader)
-                    else:
-                        open_pipe(uploader, downloader)
-            # Drop pipes whose uploader revoked the unchoke.
-            for uploader, downloader in list(pipe_order):
-                if downloader not in peers[uploader].unchoked:
-                    close_pipe(uploader, downloader)
+            if trace_full:
+                sync_started = TRACER.now()
+            desired = unchoked & wants
+            changed = np.flatnonzero(desired.reshape(-1) != open_cells)
+            if not changed.size:
+                return False
+            was_open = open_cells[changed]
+            closing = changed[was_open]
+            change_pipes(closing, changed[~was_open])
+            if trace_full:
+                TRACER.event(
+                    "swarm.sync", sim_time=time, opens=int(changed.size - closing.size),
+                    closes=int(closing.size), wall_s=TRACER.now() - sync_started,
+                )
+            return True
 
         # ---- churn (peer leave/rejoin mid-broadcast) --------------------- #
         # Applied at visited control points only, so both stepping modes see
@@ -736,29 +694,27 @@ class BitTorrentBroadcast:
                 return False
             departed.add(name)
             i = index[name]
-            for key in [k for k in pipe_order if name in k]:
-                close_pipe(key[0], key[1], keep_progress=False)
-            for key in [k for k in progress_carry if name in k]:
-                progress_carry.pop(key)
+            touching = np.concatenate([
+                i * n + np.flatnonzero(open_cells[i * n:(i + 1) * n]),
+                np.flatnonzero(open_cells[i::n]) * n + i,
+            ])
+            if touching.size:
+                change_pipes(touching, touching[:0])
+            progress[i * n:(i + 1) * n] = 0.0
+            progress[i::n] = 0.0
             peer = peers[name]
-            for other in list(peer.neighbors):
+            for other in peer.neighbors:
                 other_peer = peers[other]
                 other_peer.neighbors.discard(name)
-                if name in other_peer.unchoked:
-                    other_peer.unchoked.discard(name)
-                    order = unchoked_order[other]
-                    pos = bisect.bisect_left(order, name)
-                    if pos < len(order) and order[pos] == name:
-                        del order[pos]
                 if other_peer.optimistic == name:
                     other_peer.optimistic = None
+            unchoked[i, :] = False
+            unchoked[:, i] = False
             neighbor_mask[i, :] = False
             neighbor_mask[:, i] = False
             peer.neighbors = set()
-            peer.unchoked = set()
             peer.optimistic = None
             peer.downloaded_this_round.clear()
-            unchoked_order[name] = []
             # A departed peer must not gate broadcast completion while away.
             incomplete.discard(name)
             incomplete_mask[i] = False
@@ -841,7 +797,7 @@ class BitTorrentBroadcast:
             analytic ``need / (rate · dt)``; the walk pins the estimate to
             the exact grid comparison the step body performs.
             """
-            if not pipe_order or current + 1 >= cap:
+            if not pipe_cells.size or current + 1 >= cap:
                 return cap
             rates = fluid._rate[pipe_slots].copy()
             if pipe_dead_positions.size:
@@ -885,98 +841,82 @@ class BitTorrentBroadcast:
                 if not incomplete:
                     break
                 if pipes_dirty:
-                    # Departures closed pipes: realign the slot vectors now,
-                    # before flush_credits/moved_at read the old layout.
-                    rebuild_pipe_vectors()
-            if session._pipe_completed:
+                    # A pipe died during the last advance: realign the
+                    # vectors now, before flush_credits/moved_at read them.
+                    store_pipe_vectors()
+                    load_pipe_vectors()
+            if pipe_died:
                 # A pipe budget completed outside this loop's own advance
                 # (during a jump landing, or while another tenant held the
                 # clock): treat it exactly like an advance-time completion.
-                session._pipe_completed = False
+                pipe_died = False
                 pipes_dirty = True
                 step_active = True
             if interest_by_matmul:
                 wanted = recompute_wanted()
+            # wants[u, d]: d is downloading and u holds a fragment d lacks.
+            wants = wanted > 0
+            wants &= incomplete_mask
 
             # --- choking -------------------------------------------------- #
             if time >= next_rechoke - 1e-12:
                 step_active = True
-                if pipe_order:
+                if pipe_cells.size:
                     flush_credits()
                 for name in rng.permutation(self.hosts):
                     peer = peers[name]
-                    candidates = interested_in(index[name])
-                    peer.unchoked = self.choking.rechoke(
-                        peer, candidates, round_index, rng
+                    uploader_index = index[name]
+                    chosen = self.choking.rechoke(
+                        peer, interested_in(uploader_index), round_index, rng
                     )
-                    unchoked_order[name] = sorted(peer.unchoked)
+                    unchoked[uploader_index] = False
+                    unchoked[uploader_index, [index[d] for d in chosen]] = True
                     peer.reset_round()
                 round_index += 1
                 next_rechoke += cfg.rechoke_interval
             else:
-                # Fill idle upload slots as soon as someone becomes interested.
-                # One matrix pass replaces the per-host interest masks.
-                fillable = neighbor_mask & incomplete_mask[None, :]
-                np.logical_and(fillable, wanted > 0, out=fillable)
-                host_has_candidates = fillable.any(axis=1).tolist()
-                hosts = self.hosts
-                for uploader_index, name in enumerate(hosts):
-                    peer = peers[name]
-                    if peer.fragment_count == 0:
-                        continue
-                    unchoked = peer.unchoked
-                    if unchoked:
-                        stale = [
-                            d for d in unchoked
-                            if d not in incomplete and d != root
-                        ]
-                        if stale:
-                            step_active = True
-                            order = unchoked_order[name]
-                            for d in stale:
-                                unchoked.discard(d)
-                                order.remove(d)
-                    free = upload_slots - len(unchoked)
-                    if free <= 0 or not host_has_candidates[uploader_index]:
-                        continue
-                    row = fillable[uploader_index]
-                    waiting = [
-                        hosts[i] for i in lex_order[row[lex_order]]
-                        if hosts[i] not in unchoked
-                    ]
-                    if not waiting:
-                        continue
+                # Fill idle upload slots as soon as someone becomes interested,
+                # after completed downloaders leave every unchoke set.
+                if (unchoked & ~incomplete_mask).any():
                     step_active = True
-                    picks = rng.choice(len(waiting), size=min(free, len(waiting)),
-                                       replace=False)
-                    order = unchoked_order[name]
-                    for i in picks:
-                        pick = waiting[i]
-                        if pick not in unchoked:
-                            unchoked.add(pick)
-                            bisect.insort(order, pick)
+                    unchoked &= incomplete_mask
+                fillable = neighbor_mask & wants
+                fillable &= ~unchoked
+                free = upload_slots - np.count_nonzero(unchoked, axis=1)
+                for uploader_index in np.flatnonzero(
+                    (free > 0) & fillable.any(axis=1)
+                ).tolist():
+                    step_active = True
+                    row = fillable[uploader_index]
+                    waiting = lex_order[row[lex_order]]
+                    picks = rng.choice(
+                        waiting.size, size=min(int(free[uploader_index]), waiting.size),
+                        replace=False,
+                    )
+                    unchoked[uploader_index, waiting[picks]] = True
 
             if pipes_dirty:
                 # Carried over from a fluid-flow transition during the last
                 # advance: the allocation changed, so this point is a state
                 # change even if the choker left everything in place.
                 step_active = True
-            sync_pipes()
-            if pipes_dirty:
+            if sync_pipes():
                 step_active = True
-                rebuild_pipe_vectors()
+            elif pipes_dirty:
+                store_pipe_vectors()
+                load_pipe_vectors()
 
             # --- data movement -------------------------------------------- #
             time = start + (step + 1) * dt
             yield ("advance", step + 1, time)
-            if session._pipe_completed:
+            if pipe_died:
                 # A pipe transfer exhausted its byte budget and was detached;
                 # its recycled slot must not be read after the next rebuild.
-                session._pipe_completed = False
+                pipe_died = False
                 pipes_dirty = True
                 step_active = True
 
-            if pipe_order:
+            if pipe_cells.size:
                 moved = moved_at(time)
                 deltas = moved - pipe_consumed
                 progress_now = pipe_progress + deltas
@@ -1008,7 +948,6 @@ class BitTorrentBroadcast:
                             incomplete.discard(down.name)
                             incomplete_mask[downloader_index] = False
                     if trace is not None:
-                        hosts = self.hosts
                         bounds = offsets.tolist()
                         fragment_list = received.tolist()
                         for event, (uploader_index, downloader_index) in enumerate(
@@ -1043,7 +982,7 @@ class BitTorrentBroadcast:
             # case in conversion-dense configs), one predicate evaluation
             # replaces the whole agenda round.  A conservative answer only
             # ever visits a point the fixed loop visits too.
-            if pipe_order and conversion_due(start + (step + 2) * dt):
+            if pipe_cells.size and conversion_due(start + (step + 2) * dt):
                 step += 1
                 continue
             # Put the three event sources on the agenda and jump straight to

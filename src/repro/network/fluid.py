@@ -33,7 +33,7 @@ Python objects.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -201,64 +201,97 @@ class FluidNetwork:
         on_complete: Optional[Callable[[FluidTransfer], None]] = None,
     ) -> FluidTransfer:
         """Begin moving ``size`` bytes from ``src`` to ``dst``."""
-        if size <= 0:
-            raise ValueError(f"transfer size must be positive, got {size}")
-        if not self.topology.is_host(src) or not self.topology.is_host(dst):
-            raise ValueError(f"transfers must run between hosts ({src!r} -> {dst!r})")
+        return self.start_transfers([(src, dst, size, rate_cap)], on_complete)[0]
+
+    def start_transfers(
+        self,
+        requests: Sequence[Tuple[str, str, float, Optional[float]]],
+        on_complete: Optional[Callable[[FluidTransfer], None]] = None,
+    ) -> List[FluidTransfer]:
+        """Begin one transfer per ``(src, dst, size, rate_cap)`` request.
+
+        The batch is one transition at the current clock: the byte state is
+        settled once, and transfer ids follow the request order.  Every
+        request is validated before any transfer starts.
+        """
+        requests = list(requests)
+        for src, dst, size, _ in requests:
+            if size <= 0:
+                raise ValueError(f"transfer size must be positive, got {size}")
+            if not self.topology.is_host(src) or not self.topology.is_host(dst):
+                raise ValueError(f"transfers must run between hosts ({src!r} -> {dst!r})")
+        if not requests:
+            return []
         # The allocation changes now: settle the old rates' bytes first.
         self._materialize(self.now)
-        route = self.routing.route_indices(src, dst)
-        slot = self._flows.add(route, rate_cap, assume_unique=True)
-        if slot >= self._remaining.size:
-            grow = self._flows.pool_size - self._remaining.size
+        routing = self.routing
+        slots = self._flows.add_many(
+            [routing.route_indices(src, dst) for src, dst, _, _ in requests],
+            [rate_cap for _, _, _, rate_cap in requests],
+            assume_unique=True,
+        )
+        self._fit_pool()
+        transfers = []
+        # Per-slot scalar writes: cheaper than fancy indexing for the short
+        # batches most callers send.
+        for (src, dst, size, rate_cap), slot in zip(requests, slots):
+            transfer = FluidTransfer(
+                next(self._ids), src, dst, float(size), routing.route_tuple(src, dst),
+                rate_cap, self.now, on_complete,
+            )
+            transfer._net, transfer._slot = self, slot
+            self._active[transfer.transfer_id] = self._by_slot[slot] = transfer
+            self._remaining[slot] = self._size[slot] = transfer.size
+            self._rate[slot] = 0.0
+            transfers.append(transfer)
+        self._slots_cache = None
+        self._dirty = True
+        self.transitions += len(transfers)
+        return transfers
+
+    def _fit_pool(self) -> None:
+        """Grow the slot-aligned vectors to the FlowSet's pool size."""
+        grow = self._flows.pool_size - self._remaining.size
+        if grow > 0:
             self._remaining = np.concatenate([self._remaining, np.zeros(grow)])
             self._rate = np.concatenate([self._rate, np.zeros(grow)])
             self._size = np.concatenate([self._size, np.zeros(grow)])
-        transfer = FluidTransfer(
-            transfer_id=next(self._ids),
-            src=src,
-            dst=dst,
-            size=float(size),
-            links=self.routing.route_tuple(src, dst),
-            rate_cap=rate_cap,
-            start_time=self.now,
-            on_complete=on_complete,
-        )
-        transfer._net = self
-        transfer._slot = slot
-        self._remaining[slot] = transfer.size
-        self._size[slot] = transfer.size
-        self._rate[slot] = 0.0
-        self._active[transfer.transfer_id] = transfer
-        self._by_slot[slot] = transfer
-        self._slots_cache = None
-        self._dirty = True
-        self.transitions += 1
-        return transfer
 
-    def _detach(self, transfer: FluidTransfer) -> None:
-        """Freeze a transfer's state and release its slot.
+    def _detach(self, transfers: Sequence[FluidTransfer]) -> None:
+        """Freeze the transfers' state and release their slots.
 
         The caller must have materialized the byte state at the detach time.
         """
-        slot = transfer._slot
-        transfer._final_transferred = transfer.size - max(float(self._remaining[slot]), 0.0)
-        transfer._final_rate = float(self._rate[slot])
-        transfer._slot = -1
-        transfer._net = None
-        self._flows.remove(slot)
-        del self._by_slot[slot]
+        slots = [transfer._slot for transfer in transfers]
+        for transfer, slot in zip(transfers, slots):
+            transfer._final_transferred = float(self._size[slot] - self._remaining[slot])
+            transfer._final_rate = float(self._rate[slot])
+            transfer._slot, transfer._net = -1, None
+            del self._by_slot[slot]
+        self._flows.remove_many(slots)
         self._slots_cache = None
         self._dirty = True
-        self.transitions += 1
+        self.transitions += len(transfers)
 
     def cancel_transfer(self, transfer: FluidTransfer) -> None:
         """Abort a transfer without firing its completion callback."""
-        live = self._active.pop(transfer.transfer_id, None)
-        if live is None:
-            return
-        self._materialize(self.now)
-        self._detach(transfer)
+        self.cancel_transfers([transfer])
+
+    def cancel_transfers(self, transfers: Sequence[FluidTransfer]) -> np.ndarray:
+        """Abort transfers without firing their completion callbacks.
+
+        The batch is one transition at the current clock.  Transfers that
+        already finished or were cancelled are left as they are.  Returns
+        each transfer's transferred bytes at the cancel, in argument order.
+        """
+        live = [
+            transfer for transfer in transfers
+            if self._active.pop(transfer.transfer_id, None) is not None
+        ]
+        if live:
+            self._materialize(self.now)
+            self._detach(live)
+        return np.array([transfer._final_transferred for transfer in transfers])
 
     @property
     def active_transfers(self) -> List[FluidTransfer]:
@@ -303,11 +336,7 @@ class FluidNetwork:
                 transfer.rate_cap,
                 assume_unique=True,
             )
-            if new_slot >= self._remaining.size:
-                grow = self._flows.pool_size - self._remaining.size
-                self._remaining = np.concatenate([self._remaining, np.zeros(grow)])
-                self._rate = np.concatenate([self._rate, np.zeros(grow)])
-                self._size = np.concatenate([self._size, np.zeros(grow)])
+            self._fit_pool()
             transfer._slot = new_slot
             transfer.links = new_links
             self._remaining[new_slot] = remaining
@@ -387,10 +416,6 @@ class FluidNetwork:
             np.maximum(remaining, 0.0, out=remaining)
         return self._size[slots] - remaining
 
-    def transferred_for(self, slots: np.ndarray) -> np.ndarray:
-        """Bulk read of transferred bytes at the current clock (hot path)."""
-        return self.transferred_at(slots, self.now)
-
     # ------------------------------------------------------------------ #
     # time stepping
     # ------------------------------------------------------------------ #
@@ -450,16 +475,18 @@ class FluidNetwork:
             # residuals arise when another tenant's completion materializes
             # the byte state a hair before this flow's own finish.)
             tick = np.spacing(max(abs(completion), 1.0))
-            done = np.flatnonzero(credited <= np.maximum(1e-9, rates * tick))
-            for position in done:
-                transfer = self._by_slot[int(slots[position])]
+            done = slots[credited <= np.maximum(1e-9, rates * tick)]
+            if not done.size:
+                continue
+            self._remaining[done] = 0.0
+            now_done = [self._by_slot[slot] for slot in done.tolist()]
+            for transfer in now_done:
                 transfer.finish_time = completion
-                self._remaining[transfer._slot] = 0.0
-                self._detach(transfer)
                 del self._active[transfer.transfer_id]
-                if self.retain_completed:
-                    self.completed.append(transfer)
-                finished.append(transfer)
+            self._detach(now_done)
+            if self.retain_completed:
+                self.completed.extend(now_done)
+            finished.extend(now_done)
         self.now = max(self.now, target)
         for transfer in finished:
             if transfer.on_complete is not None:

@@ -119,64 +119,93 @@ class FlowSet:
         rate_cap: Optional[float] = None,
         assume_unique: bool = False,
     ) -> int:
-        """Register a flow crossing ``link_indices`` and return its slot id.
+        """Register a flow crossing ``link_indices`` and return its slot id
+        (a one-item :meth:`add_many`)."""
+        return self.add_many([link_indices], [rate_cap], assume_unique)[0]
 
-        Duplicate links in the route count once, as in the scalar allocator;
-        callers whose routes are simple paths (e.g. the fluid engine's
-        shortest-path routes) pass ``assume_unique=True`` to skip the dedup.
+    def add_many(
+        self,
+        routes: Sequence[Sequence[int]],
+        rate_caps: Sequence[Optional[float]],
+        assume_unique: bool = False,
+    ) -> List[int]:
+        """Register one flow per route, capped at the matching rate cap.
+
+        Every flow is validated before any is added, the routes' entries join
+        the incidence in one write, and the slot ids come off the free list
+        in order, exactly as from one :meth:`add` per flow.  Duplicate links
+        in a route count once, as in the scalar allocator; callers whose
+        routes are simple paths (e.g. the fluid engine's shortest-path
+        routes) pass ``assume_unique=True`` to skip the dedup.
         """
-        if rate_cap is not None and rate_cap <= 0:
-            raise ValueError(f"rate_cap must be positive, got {rate_cap}")
-        route = np.asarray(link_indices, dtype=np.int32)
-        if route.size:
-            if not assume_unique:
-                route = np.unique(route)
-            if int(route.min()) < 0 or int(route.max()) >= self.num_links:
-                raise IndexError("link index out of range")
-        if not self._free:
-            self._grow()
-        slot = self._free.pop()
-        self._active[slot] = True
-        self._has_links[slot] = route.size > 0
-        self._rate_caps[slot] = np.inf if rate_cap is None else float(rate_cap)
-        if route.size:
-            end = self._entry_count + route.size
-            if end > self._entry_link.size:
-                capacity = max(self._entry_link.size * 2, end)
-                grown_link = np.empty(capacity, dtype=np.int32)
-                grown_flow = np.empty(capacity, dtype=np.int32)
-                grown_link[: self._entry_count] = self._entry_link[: self._entry_count]
-                grown_flow[: self._entry_count] = self._entry_flow[: self._entry_count]
-                self._entry_link = grown_link
-                self._entry_flow = grown_flow
-                self._addresses = None
-            self._entry_link[self._entry_count : end] = route
-            self._entry_flow[self._entry_count : end] = slot
-            self._entry_count = end
-        self.num_flows += 1
-        return slot
+        caps = [np.inf if cap is None else float(cap) for cap in rate_caps]
+        if len(caps) != len(routes):
+            raise ValueError("need one rate cap per route")
+        if not caps:
+            return []
+        if min(caps) <= 0:
+            raise ValueError(f"rate_cap must be positive, got {min(caps)}")
+        if not assume_unique:
+            routes = [np.unique(np.asarray(route, dtype=np.int32)) for route in routes]
+        sizes = [len(route) for route in routes]
+        entries = np.concatenate(routes, dtype=np.int32, casting="unsafe")
+        # Read as unsigned, a negative index is huge: one compare checks both ends.
+        if np.count_nonzero(entries.view(np.uint32) >= self.num_links):
+            raise IndexError("link index out of range")
+        free = self._free
+        slots = []
+        for _ in caps:
+            if not free:
+                self._grow()
+            slots.append(free.pop())
+        index = np.array(slots)
+        self._active[index] = True
+        self._has_links[index] = [size > 0 for size in sizes]
+        self._rate_caps[index] = caps
+        start, end = self._entry_count, self._entry_count + entries.size
+        if end > self._entry_link.size:
+            spare = np.empty(max(self._entry_link.size * 2, end) - start, dtype=np.int32)
+            self._entry_link = np.concatenate([self._entry_link[:start], spare])
+            self._entry_flow = np.concatenate([self._entry_flow[:start], spare])
+            self._addresses = None
+        self._entry_link[start:end] = entries
+        self._entry_flow[start:end] = index.repeat(sizes)
+        self._entry_count = end
+        self.num_flows += len(slots)
+        return slots
 
     def remove(self, slot: int) -> None:
-        """Drop the flow in ``slot``; its entries are masked out of the incidence."""
-        if not (0 <= slot < self._active.size) or not self._active[slot]:
-            raise KeyError(f"slot {slot} is not an active flow")
-        self._active[slot] = False
-        self._rate_caps[slot] = np.inf
-        if self._has_links[slot]:
-            count = self._entry_count
-            keep = self._entry_flow[:count] != slot
-            kept = int(keep.sum())
-            if kept != count:
-                self._entry_link[:kept] = self._entry_link[:count][keep]
-                self._entry_flow[:kept] = self._entry_flow[:count][keep]
-                self._entry_count = kept
-            self._has_links[slot] = False
-        self._free.append(slot)
-        self.num_flows -= 1
+        """Drop the flow in ``slot`` (a one-item :meth:`remove_many`)."""
+        self.remove_many([slot])
 
-    def active_slots(self) -> np.ndarray:
-        """Slot ids of the active flows, ascending."""
-        return np.flatnonzero(self._active)
+    def remove_many(self, slots: Sequence[int]) -> None:
+        """Drop the flows in ``slots``; their entries leave the incidence in
+        one compaction.
+
+        Raises :class:`KeyError`, with the set unchanged, if a slot is
+        inactive or listed twice.  Freed slots are recycled last-in first-out
+        in the order given, exactly as one :meth:`remove` call per slot.
+        """
+        slots = [int(slot) for slot in slots]
+        active, pool = self._active, self._active.size
+        if len(set(slots)) != len(slots) or not all(
+            0 <= slot < pool and active[slot] for slot in slots
+        ):
+            raise KeyError(f"slots {slots} are not distinct active flows")
+        index = np.array(slots, dtype=np.intp)
+        active[index] = False
+        self._has_links[index] = False
+        self._rate_caps[index] = np.inf
+        # Only active flows have entries, so the ones to keep are exactly
+        # those whose flow is still active.
+        count = self._entry_count
+        keep = active[self._entry_flow[:count]]
+        kept = int(np.count_nonzero(keep))
+        self._entry_link[:kept] = self._entry_link[:count][keep]
+        self._entry_flow[:kept] = self._entry_flow[:count][keep]
+        self._entry_count = kept
+        self._free.extend(slots)
+        self.num_flows -= len(slots)
 
     # ------------------------------------------------------------------ #
     # capacity changes

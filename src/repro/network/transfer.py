@@ -63,9 +63,9 @@ class PointToPointNetwork:
         if not requests:
             return []
         network = FluidNetwork(self.topology, self.routing)
-        transfers = []
-        for src, dst, size in requests:
-            transfers.append(network.start_transfer(src, dst, float(size)))
+        transfers = network.start_transfers(
+            [(src, dst, float(size), None) for src, dst, size in requests]
+        )
         network.run_until_complete()
         results = []
         makespan = 0.0

@@ -5,7 +5,7 @@ line.  This module turns such a file into
 
 * the **Chrome trace-event format** understood by ``chrome://tracing`` and
   https://ui.perfetto.dev (``repro trace export --chrome``), and
-* a compact **summary** (record counts, span time per name) backing
+* a compact **summary** (record counts, wall time per name) backing
   ``repro trace summary``.
 
 Clock mapping in the Chrome export: every record keeps its originating
@@ -109,8 +109,10 @@ def export_chrome(trace_path: str, out_path: str) -> int:
 
 
 def summarize(records: Iterable[dict]) -> Dict[str, Dict[str, object]]:
-    """Per-name rollup: record counts plus total span seconds.
+    """Per-name rollup: record counts plus total wall seconds.
 
+    A span's seconds are its duration; an event's are its ``wall_s``
+    argument, when it carries one (``swarm.conversion``, ``swarm.sync``).
     Returns ``{name: {"type": ..., "count": n, ["wall_s": seconds]}}``,
     sorted consumers can render directly (``repro trace summary``).
     """
@@ -123,10 +125,10 @@ def summarize(records: Iterable[dict]) -> Dict[str, Dict[str, object]]:
             record["name"], {"type": kind, "count": 0}
         )
         entry["count"] = int(entry["count"]) + 1
-        if kind == "span":
-            entry["wall_s"] = float(entry.get("wall_s", 0.0)) + float(
-                record.get("wall_dur", 0.0)
-            )
+        seconds = (record.get("wall_dur", 0.0) if kind == "span"
+                   else record.get("args", {}).get("wall_s"))
+        if seconds is not None:
+            entry["wall_s"] = float(entry.get("wall_s", 0.0)) + float(seconds)
     return summary
 
 

@@ -121,3 +121,73 @@ class TestAdvance:
         rates = network.rates()
         assert rates[t1.transfer_id] == pytest.approx(5 * MBPS, rel=1e-6)
         assert rates[t2.transfer_id] == pytest.approx(5 * MBPS, rel=1e-6)
+
+
+class TestBatchedTransitions:
+    """``start_transfers``/``cancel_transfers`` are one transition each and
+    leave the network exactly as the same changes made one call at a time."""
+
+    def test_batches_match_single_calls(self, dumbbell_topology):
+        first = [
+            ("left-0", "right-0", 50e6, None),
+            ("left-1", "right-1", 20e6, 2 * MBPS),
+            ("left-2", "left-0", 30e6, None),
+            ("right-2", "left-1", 40e6, None),
+        ]
+        second = [("right-0", "left-2", 10e6, None), ("left-1", "left-2", 5e6, None)]
+        batched = FluidNetwork(dumbbell_topology)
+        single = FluidNetwork(dumbbell_topology)
+        started = batched.start_transfers(first)
+        alone = [single.start_transfer(*request) for request in first]
+        batched.advance(0.5)
+        single.advance(0.5)
+
+        # Cancel-then-open in batches against interleaved single calls: the
+        # new transfers land on different slots, but nothing observable moves.
+        moved = batched.cancel_transfers([started[0], started[2]])
+        started += batched.start_transfers(second)
+        single.cancel_transfer(alone[0])
+        alone.append(single.start_transfer(*second[0]))
+        single.cancel_transfer(alone[2])
+        alone.append(single.start_transfer(*second[1]))
+        assert moved.tolist() == [alone[0].transferred, alone[2].transferred]
+        assert batched.transitions == single.transitions
+
+        def observed(network):
+            return (
+                list(network._active),
+                [t.transfer_id for t in network._by_slot.values()],
+                network.rates(),
+            )
+
+        for step in (0.3, 0.4, 2.0):
+            batched.advance(step)
+            single.advance(step)
+            assert observed(batched) == observed(single)
+            assert [t.transferred for t in started] == [t.transferred for t in alone]
+        batched.run_until_complete()
+        single.run_until_complete()
+        assert [(t.transfer_id, t.finish_time) for t in batched.completed] == [
+            (t.transfer_id, t.finish_time) for t in single.completed
+        ]
+
+    def test_cancel_leaves_finished_transfers_alone(self, dumbbell_topology):
+        network = FluidNetwork(dumbbell_topology)
+        small, big = network.start_transfers(
+            [("left-0", "left-1", 1e6, None), ("left-2", "right-0", 50e6, None)]
+        )
+        network.advance(1.0)
+        assert small.done and not big.done
+        before = network.transitions
+        moved = network.cancel_transfers([small, big])
+        assert moved.tolist() == [1e6, big.transferred]
+        assert network.transitions == before + 1
+        assert network.active_count == 0
+
+    def test_invalid_request_starts_nothing(self, dumbbell_topology):
+        network = FluidNetwork(dumbbell_topology)
+        with pytest.raises(ValueError):
+            network.start_transfers(
+                [("left-0", "left-1", 1e6, None), ("left-0", "sw-left", 1e6, None)]
+            )
+        assert network.active_count == 0 and network.transitions == 0

@@ -2,15 +2,17 @@
 
 Covers the corners the workload engine leans on:
 ``FluidNetwork.next_transition``/``advance_to`` with (effectively)
-zero-rate flows, simultaneous completions, sub-clock-tick residuals, and a
-capacity change landing exactly on a predicted transition time.
+zero-rate flows, simultaneous completions, sub-clock-tick residuals, a
+capacity change landing exactly on a predicted transition time, and the
+slot stability of re-pinned flows.
 """
 
 import numpy as np
 import pytest
 
 from repro.network.fluid import FluidNetwork
-from repro.network.topology import MBPS
+from repro.network.routing import RoutingTable
+from repro.network.topology import MBPS, Host, Switch, Topology
 
 
 class TestZeroRateFlows:
@@ -245,3 +247,38 @@ class TestRetainCompleted:
         assert len(seen) == 1
         assert net.completed == []
         assert seen[0].done
+
+
+class TestRepin:
+    def test_repinned_transfers_keep_their_slots(self):
+        """A re-pinned flow gets its own FlowSet slot back.
+
+        The broadcast loop records each pipe's slot at open and keeps
+        reading it after a routing swap; that is only sound because
+        ``repin_routes`` removes and re-adds one flow at a time and the
+        FlowSet recycles slots last-in first-out.
+        """
+        topo = Topology(name="triangle")
+        for switch in ("s1", "s2", "s3"):
+            topo.add_switch(Switch(name=switch))
+        for host, switch in (("a", "s1"), ("b", "s2"), ("c", "s1"), ("d", "s2")):
+            topo.add_host(Host(name=host, site="t", cluster="t"))
+            topo.add_link(host, switch, capacity=100 * MBPS)
+        topo.add_link("s1", "s2", capacity=10 * MBPS, name="direct")
+        topo.add_link("s1", "s3", capacity=50 * MBPS)
+        topo.add_link("s3", "s2", capacity=50 * MBPS)
+        net = FluidNetwork(topo)
+        transfers = net.start_transfers([
+            ("a", "b", 1e9, None), ("a", "c", 1e9, None), ("d", "c", 1e9, None),
+            ("c", "a", 1e9, None), ("b", "d", 1e9, None), ("c", "d", 1e9, None),
+        ])
+        net.advance(0.5)
+        net.cancel_transfers([transfers[1]])
+        slots = {t.transfer_id: t._slot for t in net.active_transfers}
+        links = {t.transfer_id: t.links for t in net.active_transfers}
+
+        assert net.repin_routes(RoutingTable(topo, avoid={"direct"})) == 3
+        for transfer in net.active_transfers:
+            assert transfer._slot == slots[transfer.transfer_id]
+        moved = [t for t in net.active_transfers if t.links != links[t.transfer_id]]
+        assert {(t.src, t.dst) for t in moved} == {("a", "b"), ("d", "c"), ("c", "d")}

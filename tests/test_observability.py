@@ -329,11 +329,66 @@ class TestExport:
         assert summary["swarm.broadcast"]["wall_s"] >= 0.0
         assert "meta" not in summary
 
+    def test_summarize_totals_event_wall_seconds(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        tracer = Tracer()
+        tracer.configure(str(path), detail="full")
+        tracer.event("swarm.conversion", sim_time=1.0, pipes=2, wall_s=0.25)
+        tracer.event("swarm.conversion", sim_time=2.0, pipes=1, wall_s=0.5)
+        tracer.event("swarm.jump", sim_time=3.0, from_step=1, to_step=4)
+        tracer.close()
+        summary = summarize(load_records(str(path)))
+        assert summary["swarm.conversion"] == {
+            "type": "event", "count": 2, "wall_s": 0.75,
+        }
+        assert "wall_s" not in summary["swarm.jump"]
+
     def test_load_records_reports_path_and_line(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"type":"meta"}\nnot json\n')
         with pytest.raises(ValueError, match=r"bad\.jsonl:2"):
             load_records(str(bad))
+
+
+# ---------------------------------------------------------------------- #
+# swarm: per-step pipe transitions
+# ---------------------------------------------------------------------- #
+def test_swarm_sync_events_record_each_pipe_transition(tmp_path):
+    """Full detail emits one ``swarm.sync`` event per control step whose pipe
+    set changed, and recording it leaves the broadcast untouched."""
+    import numpy as np
+
+    from repro.bittorrent.swarm import BitTorrentBroadcast
+    from repro.network.grid5000 import build_multi_site, default_cluster_of
+    from repro.tomography.pipeline import default_swarm_config
+
+    topology = build_multi_site(
+        {site: {default_cluster_of(site): 3} for site in ("bordeaux", "grenoble")}
+    )
+    broadcast = BitTorrentBroadcast(topology, default_swarm_config(60))
+    plain = broadcast.run(rng=np.random.default_rng(4))
+    path = tmp_path / "sync.jsonl"
+    TRACER.configure(str(path), detail="full")
+    try:
+        traced = broadcast.run(rng=np.random.default_rng(4))
+    finally:
+        TRACER.close()
+    assert np.array_equal(traced.fragments.counts, plain.fragments.counts)
+    assert traced.completion_times == plain.completion_times
+
+    records = load_records(str(path))
+    syncs = [r for r in records if r.get("name") == "swarm.sync"]
+    assert syncs
+    sim_times = [r["sim_ts"] for r in syncs]
+    assert sim_times == sorted(set(sim_times))  # at most one per step
+    opens = sum(r["args"]["opens"] for r in syncs)
+    closes = sum(r["args"]["closes"] for r in syncs)
+    # Pipes open at the last step are never closed by a later sync.
+    assert opens >= closes > 0
+    for record in syncs:
+        args = record["args"]
+        assert args["opens"] + args["closes"] > 0 and args["wall_s"] >= 0.0
+    assert summarize(records)["swarm.sync"]["wall_s"] > 0.0
 
 
 # ---------------------------------------------------------------------- #

@@ -55,6 +55,9 @@ GOLDENS = {
         "rechoke-heavy": (
             "86fd2346fdd63e59d6449fa8d589be80e71702c28907d6b7c6c6c4c86aa6167c"
         ),
+        "double-digit-names": (
+            "0fb8ebd54f056483d3ad3da7038f183502c8a56725f736231bc5847746630c09"
+        ),
     },
     "event": {
         "multi-site": (
@@ -65,6 +68,9 @@ GOLDENS = {
         ),
         "rechoke-heavy": (
             "86fd2346fdd63e59d6449fa8d589be80e71702c28907d6b7c6c6c4c86aa6167c"
+        ),
+        "double-digit-names": (
+            "0fb8ebd54f056483d3ad3da7038f183502c8a56725f736231bc5847746630c09"
         ),
     },
 }
@@ -124,6 +130,22 @@ def test_rechoke_heavy_broadcast_replays_scalar_implementation(stepping, kernel)
     assert fingerprint == GOLDENS[stepping]["rechoke-heavy"]
     assert result.fragments.total_fragments() == 20000.0
     assert result.distinct_edges == 51
+
+
+@over_kernels("stepping", STEPPING_MODES)
+def test_double_digit_host_names_replay(stepping, kernel):
+    """With ten or more hosts in a cluster, name order (``-10`` before
+    ``-2``) differs from host-index order: conversion and crediting must
+    walk the pipes in (uploader name, downloader name) order."""
+    topology = build_multi_site(
+        {"bordeaux": {"bordeplage": 12}, "grenoble": {"genepi": 11}}
+    )
+    fingerprint, result = broadcast_fingerprint(
+        topology, 60, seed=29, control_dt=0.002, rechoke_interval=0.02,
+        stepping=stepping,
+    )
+    assert fingerprint == GOLDENS[stepping]["double-digit-names"]
+    assert result.fragments.total_fragments() == 22 * 60
 
 
 def test_golden_columns_coincide():

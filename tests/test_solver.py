@@ -5,7 +5,8 @@ is the reference oracle; the vectorized :class:`~repro.network.solver.FlowSet`
 must reproduce it on randomized instances — shared bottlenecks, rate caps,
 loopback flows, every mix — and stay feasible under ``validate_allocation``.
 Its two solve kernels, compiled and NumPy, must return bit-identical rates
-after every mutation of generated flow-set histories.
+after every mutation of generated flow-set histories, and a batched
+``remove_many`` must leave the same state as one ``remove`` per slot.
 """
 
 import numpy as np
@@ -58,8 +59,10 @@ class TestFlowSet:
 
     def test_rejects_out_of_range_link(self):
         flow_set = FlowSet([10.0])
-        with pytest.raises(IndexError):
-            flow_set.add([1])
+        for route in ([1], [-1], [0, -2]):
+            with pytest.raises(IndexError):
+                flow_set.add(route)
+        assert len(flow_set) == 0
 
     def test_single_flow_takes_bottleneck(self):
         flow_set = FlowSet([100.0, 40.0])
@@ -116,6 +119,30 @@ class TestFlowSet:
         flow_set = FlowSet([10.0])
         with pytest.raises(KeyError):
             flow_set.remove(0)
+
+    def test_remove_many_rejects_duplicate_or_inactive_slots_unchanged(self):
+        flow_set = FlowSet([10.0, 20.0])
+        slots = [flow_set.add([0]), flow_set.add([0, 1]), flow_set.add([], 3.0)]
+        freed = flow_set.add([1])
+        flow_set.remove(freed)
+
+        def state():
+            count = flow_set._entry_count
+            return (
+                flow_set._active.tolist(), flow_set._has_links.tolist(),
+                flow_set._rate_caps.tolist(), list(flow_set._free),
+                flow_set._entry_link[:count].tolist(),
+                flow_set._entry_flow[:count].tolist(),
+                flow_set.num_flows, flow_set.solve().tolist(),
+            )
+
+        before = state()
+        for bad in ([slots[0], slots[0]], [slots[1], freed], [slots[2], 99], [-1]):
+            with pytest.raises(KeyError):
+                flow_set.remove_many(bad)
+            assert state() == before
+        flow_set.remove_many([])
+        assert state() == before
 
     def test_slot_recycling_after_remove(self):
         flow_set = FlowSet([10.0])
@@ -239,9 +266,10 @@ def flow_set_history(draw):
     """Link capacities and a sequence of FlowSet mutations.
 
     A history opens with a burst of adds (so the pool grows past its initial
-    8 slots), then interleaves adds and removes (so slots are recycled) with
-    link-capacity changes.  Flows mix finite rate caps with uncapped ones,
-    and link-free loopback flows, with and without caps, ride along.
+    8 slots), then interleaves adds, single and batched removes (so slots are
+    recycled) with link-capacity changes.  Flows mix finite rate caps with
+    uncapped ones, and link-free loopback flows, with and without caps, ride
+    along.
     """
     num_links = draw(st.integers(min_value=1, max_value=12))
     capacities = [draw(amounts) for _ in range(num_links)]
@@ -254,6 +282,11 @@ def flow_set_history(draw):
     mutation = st.one_of(
         add,
         st.tuples(st.just("remove"), st.integers(min_value=0), st.none()),
+        st.tuples(
+            st.just("remove_many"),
+            st.lists(st.integers(min_value=0), min_size=1, max_size=6),
+            st.none(),
+        ),
         st.tuples(st.just("capacity"), links, amounts),
     )
     burst = draw(st.lists(add, min_size=1, max_size=24))
@@ -267,19 +300,34 @@ def flow_set_history(draw):
                         ("add", [1], None), ("add", [0, 1], None)]))
 @settings(max_examples=200, deadline=None)
 def test_compiled_solve_is_bit_identical_to_numpy(history):
+    """After every mutation the compiled solve equals the NumPy solve bit for
+    bit, and a flow set that takes each ``remove_many`` as one ``remove`` per
+    slot holds the same slots and the same rates."""
     capacities, mutations = history
     flow_set = FlowSet(capacities)
+    one_by_one = FlowSet(capacities)
     live = []
     for kind, first, second in mutations:
         if kind == "add":
-            live.append(flow_set.add(first, second))
+            slot = flow_set.add(first, second)
+            assert one_by_one.add(first, second) == slot
+            live.append(slot)
         elif kind == "remove" and live:
-            flow_set.remove(live.pop(first % len(live)))
+            slot = live.pop(first % len(live))
+            flow_set.remove(slot)
+            one_by_one.remove(slot)
+        elif kind == "remove_many" and live:
+            positions = sorted({i % len(live) for i in first}, reverse=True)
+            slots = [live.pop(i) for i in positions]
+            flow_set.remove_many(slots)
+            for slot in slots:
+                one_by_one.remove(slot)
         elif kind == "capacity":
             flow_set.set_link_capacity(first, second)
-        compiled = LOADED_SOLVE_KERNEL.solve(flow_set)
-        reference = solver.solve_python(flow_set)
-        assert compiled.view(np.int64).tolist() == reference.view(np.int64).tolist()
+            one_by_one.set_link_capacity(first, second)
+        compiled = LOADED_SOLVE_KERNEL.solve(flow_set).view(np.int64).tolist()
+        assert compiled == solver.solve_python(flow_set).view(np.int64).tolist()
+        assert compiled == LOADED_SOLVE_KERNEL.solve(one_by_one).view(np.int64).tolist()
 
 
 def broadcast_records(solve_kernel, monkeypatch):

@@ -17,16 +17,22 @@ fat-tree from the beyond-paper families.  A fine-``control_dt`` case pins
 the high-fidelity regime where the event mode's jumps are largest and its
 grid arithmetic is most exposed to float-edge mistakes.  The scenario
 tests run on both kernel sets, fragment conversion and max-min solve
-(``[2x2]`` compiled, ``[2x2-python]`` the fallbacks).
+(``[2x2]`` compiled, ``[2x2-python]`` the fallbacks).  A property test then
+draws small multi-site swarms (sites, hosts per site, file size, seed,
+rechoke interval) and checks fragment conservation and mode equivalence on
+pipe-table shapes the hand-picked scenarios do not reach.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 from conftest import over_kernels
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.bittorrent.swarm import BitTorrentBroadcast
+from repro.network.grid5000 import build_multi_site, default_cluster_of
 from repro.scenarios import get_scenario
 from repro.tomography.pipeline import TomographyPipeline, default_swarm_config
 
@@ -160,3 +166,52 @@ def test_max_sim_time_guard_fires_identically():
         broadcast = BitTorrentBroadcast(ds.topology, config, hosts=ds.hosts)
         with pytest.raises(RuntimeError, match="did not complete"):
             broadcast.run(rng=np.random.default_rng(12))
+
+
+#: Sites (with their default cluster) the generated swarms are drawn from.
+PROPERTY_SITES = ("bordeaux", "grenoble", "toulouse", "lyon")
+
+
+@st.composite
+def small_swarm(draw):
+    """A multi-site swarm, a file size, a seed, a rechoke interval and a
+    control step (coarse steps let pipes run out their byte budgets)."""
+    sites = draw(st.lists(st.sampled_from(PROPERTY_SITES), min_size=1, max_size=3,
+                          unique=True))
+    per_site = {site: draw(st.integers(min_value=1, max_value=4)) for site in sites}
+    assume(sum(per_site.values()) >= 2)
+    fragments = draw(st.integers(min_value=4, max_value=80))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    rechoke_steps = draw(st.integers(min_value=1, max_value=40))
+    coarse = draw(st.sampled_from([1.0, 1.0, 1.0, 400.0]))
+    return per_site, fragments, seed, rechoke_steps, coarse
+
+
+@given(small_swarm())
+@settings(max_examples=50, deadline=None)
+def test_generated_swarms_conserve_fragments_in_both_modes(swarm):
+    """Over generated scenarios, not only the hand-picked goldens: every
+    non-root host receives exactly F fragments, and fixed and event stepping
+    produce the same fragment matrix (compared by sha256)."""
+    per_site, fragments, seed, rechoke_steps, coarse = swarm
+    topology = build_multi_site(
+        {site: {default_cluster_of(site): count} for site, count in per_site.items()}
+    )
+    base = default_swarm_config(fragments)
+    control_dt = base.control_dt * coarse
+    digests = {}
+    for stepping in ("fixed", "event"):
+        config = dataclasses.replace(
+            base, control_dt=control_dt, rechoke_interval=rechoke_steps * control_dt,
+            stepping=stepping,
+        )
+        result = BitTorrentBroadcast(topology, config).run(
+            rng=np.random.default_rng(seed)
+        )
+        received = result.fragments.counts.sum(axis=1)
+        for host, count in zip(result.fragments.labels, received.tolist()):
+            assert count == (0 if host == result.root else fragments), host
+        digests[stepping] = hashlib.sha256(
+            result.fragments.counts.astype(np.int64).tobytes()
+        ).hexdigest()
+    assert digests["event"] == digests["fixed"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bittorrent.swarm import BitTorrentBroadcast, SwarmConfig
+from repro.bittorrent.swarm import BitTorrentBroadcast, BroadcastSession, SwarmConfig
 from repro.bittorrent.torrent import TorrentMeta
 from repro.network.grid5000 import build_flat_site
 from repro.tomography.pipeline import default_swarm_config
@@ -174,3 +174,25 @@ class TestBroadcastExecution:
         result = broadcast.run(rng=np.random.default_rng(13))
         n = len(topo.host_names)
         assert result.distinct_edges < n * (n - 1) // 2
+
+    def test_pipes_open_in_uploader_index_then_downloader_name_order(self):
+        """Transfer ids replay: each step opens its pipes in one batch,
+        ordered by uploader index, then downloader name (``-10`` sorts
+        before ``-2``)."""
+        topo = build_flat_site("grenoble", 12)
+        hosts = list(reversed(topo.host_names))
+        broadcast = BitTorrentBroadcast(topo, default_swarm_config(40), hosts=hosts)
+        session = BroadcastSession(broadcast, rng=np.random.default_rng(5))
+        batches = []
+        start_transfers = session.fluid.start_transfers
+
+        def recording(requests, on_complete=None):
+            batches.append([(src, dst) for src, dst, _, _ in requests])
+            return start_transfers(requests, on_complete)
+
+        session.fluid.start_transfers = recording
+        session.run_to_completion()
+        index = {host: i for i, host in enumerate(hosts)}
+        for batch in batches:
+            assert batch == sorted(batch, key=lambda pair: (index[pair[0]], pair[1]))
+        assert any(len({src for src, _ in batch}) > 1 for batch in batches)
